@@ -1,9 +1,9 @@
 // Command plpserve is the simulation job service: a JSON HTTP API over
 // an asynchronous job queue (internal/jobs) running recording sweeps,
 // reproduced experiments, and crash-injection campaigns, with live
-// telemetry while the simulators execute — plus the standard Go
-// observability endpoints (expvar at /debug/vars, pprof at
-// /debug/pprof/) for watching the *simulator process* itself.
+// telemetry while the simulators execute — plus Prometheus /metrics
+// and pprof at /debug/pprof/ for watching the *simulator process*
+// itself.
 //
 // Job API:
 //
@@ -16,12 +16,7 @@
 //	GET    /jobs/{id}/trace   finished span tree (?format=jsonl for lines)
 //	GET    /healthz           liveness
 //	GET    /readyz            readiness; 503 once draining
-//
-// Legacy live view (fed by whatever sweep jobs run):
-//
-//	/                        minimal HTML sparkline view of all runs
-//	/runs                    JSON list of runs (sorted) with status
-//	/timeseries?scheme=&bench=   one run's telemetry series as JSON
+//	GET    /metrics           Prometheus text exposition
 //
 // Distributed sweep fabric (internal/fabric):
 //
@@ -294,8 +289,8 @@ func main() {
 	fmt.Println("plpserve: drained, exiting")
 }
 
-// withDebug layers the default mux's debug endpoints (expvar, pprof —
-// both register on http.DefaultServeMux via side effect) under /debug/
+// withDebug layers the default mux's pprof endpoints (registered on
+// http.DefaultServeMux by the net/http/pprof import) under /debug/
 // while everything else goes to the API mux.
 func withDebug(api http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -2,16 +2,16 @@ package main
 
 import (
 	"plp/internal/harness"
+	"plp/internal/jobs"
 	"plp/internal/metrics"
 	"plp/internal/trace"
 )
 
 // serverMetrics is one server instance's observability surface: a
 // private metrics.Registry plus the instruments the HTTP layer and the
-// live-run store increment. Every counter here is per-instance state —
-// the old package-level expvar.NewInt globals meant a second server in
-// the same process (tests, embedding) shared and double-counted them,
-// and any accidental re-registration panicked.
+// job-finish hook increment. Every counter here is per-instance state,
+// so a second server in the same process (tests, embedding) neither
+// shares nor double-counts them.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -33,7 +33,7 @@ func newServerMetrics() *serverMetrics {
 	return &serverMetrics{
 		reg: reg,
 		runsStarted: reg.Counter("plp_runs_started_total",
-			"Engine runs started by any job."),
+			"Engine runs started by finished jobs."),
 		runsCompleted: reg.Counter("plp_runs_completed_total",
 			"Engine runs finished with a recorded result."),
 		sweepsDone: reg.Counter("plp_sweeps_completed_total",
@@ -48,6 +48,24 @@ func newServerMetrics() *serverMetrics {
 			"Persist latency of each scheme's latest completed run (simulated cycles).",
 			"scheme"),
 	}
+}
+
+// finish is wired to jobs.Config.OnFinish: it counts a finished job's
+// started runs and, for a succeeded sweep, its completed runs per
+// scheme and their persist latencies.
+func (m *serverMetrics) finish(j *jobs.Job) {
+	m.runsStarted.Add(uint64(j.Status(false).StartedRuns))
+	res := j.Result()
+	if res == nil || res.Sweep == nil {
+		return
+	}
+	for i := range res.Sweep.Runs {
+		r := &res.Sweep.Runs[i]
+		m.runsCompleted.Inc()
+		m.runsByScheme.With(r.Scheme).Inc()
+		m.persistLatency.With(r.Scheme).Set(r.PersistLatency)
+	}
+	m.sweepsDone.Inc()
 }
 
 // bindMemo exposes the sweep-point memo's live counters on the

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"expvar"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -50,7 +49,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("sweep finished %s: %s", final.State, final.Error)
 	}
 	// OnFinish fires after the terminal state is visible; give the
-	// store's finish hook a moment to land its counters.
+	// finish hook a moment to land its counters.
 	deadline := time.Now().Add(10 * time.Second)
 	for !strings.Contains(scrape(t, ts), "plp_sweeps_completed_total 1") {
 		if time.Now().After(deadline) {
@@ -83,10 +82,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestTwoServersIndependent is the regression for the package-level
-// expvar globals: constructing two complete server instances in one
-// process must not panic (expvar.NewInt would), and each instance's
-// /metrics must count only its own traffic.
+// TestTwoServersIndependent: two complete server instances coexist in
+// one process, and each instance's /metrics counts only its own
+// traffic.
 func TestTwoServersIndependent(t *testing.T) {
 	tsA, _ := newTestServer(t, jobs.Config{Workers: 1, QueueDepth: 2})
 	tsB, _ := newTestServer(t, jobs.Config{Workers: 1, QueueDepth: 2})
@@ -101,18 +99,6 @@ func TestTwoServersIndependent(t *testing.T) {
 	}
 	if !strings.Contains(b, "plp_jobs_submitted_total 0") {
 		t.Errorf("server B's counters bled from A:\n%s", b)
-	}
-
-	// The legacy /debug/vars names survive via the bridge (bound to
-	// whichever instance was constructed first in this process — the
-	// names exist exactly once and reading them never panics).
-	for _, name := range []string{
-		"plp_runs_started", "plp_runs_completed", "plp_sweeps_completed",
-		"plp_jobs_submitted", "plp_jobs_rejected",
-	} {
-		if expvar.Get(name) == nil {
-			t.Errorf("legacy expvar %q not published", name)
-		}
 	}
 }
 

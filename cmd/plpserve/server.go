@@ -5,120 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
 
-	"plp/internal/engine"
 	"plp/internal/fabric"
 	"plp/internal/jobs"
 	"plp/internal/metrics"
 	"plp/internal/obs"
 	"plp/internal/registry"
-	"plp/internal/telemetry"
 )
 
-// liveRun is one (scheme, bench) run's live view for the legacy
-// sparkline endpoints: the sampler streams while the run executes;
-// final holds the finished registry record.
-type liveRun struct {
-	Scheme  string
-	Bench   string
-	sampler *telemetry.Sampler
-	final   *registry.Run
-}
-
-// store indexes live runs across all jobs, keyed scheme/bench (a later
-// job's run of the same pair supersedes the earlier one in the view).
-// All access is mutex-guarded because job workers register runs while
-// HTTP handlers read them.
-type store struct {
-	m *serverMetrics
-
-	mu   sync.Mutex
-	runs map[string]*liveRun
-}
-
-func newStore(m *serverMetrics) *store {
-	return &store{m: m, runs: make(map[string]*liveRun)}
-}
-
-// register is wired to jobs.Config.Observe: every engine run any job
-// starts lands here.
-func (s *store) register(_ string, scheme engine.Scheme, bench string, sampler *telemetry.Sampler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.runs[string(scheme)+"/"+bench] = &liveRun{
-		Scheme: string(scheme), Bench: bench, sampler: sampler,
-	}
-	s.m.runsStarted.Inc()
-}
-
-// finish is wired to jobs.Config.OnFinish: a succeeded sweep job's
-// final runs replace their live views.
-func (s *store) finish(j *jobs.Job) {
-	res := j.Result()
-	if res == nil || res.Sweep == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range res.Sweep.Runs {
-		r := &res.Sweep.Runs[i]
-		lr, ok := s.runs[r.Key()]
-		if !ok {
-			lr = &liveRun{Scheme: r.Scheme, Bench: r.Bench}
-			s.runs[r.Key()] = lr
-		}
-		lr.final = r
-		s.m.runsCompleted.Inc()
-		s.m.runsByScheme.With(r.Scheme).Inc()
-		s.m.persistLatency.With(r.Scheme).Set(r.PersistLatency)
-	}
-	s.m.sweepsDone.Inc()
-}
-
-// get returns the run's live view, or nil.
-func (s *store) get(scheme, bench string) *liveRun {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs[scheme+"/"+bench]
-}
-
-// runStatus is one row of the /runs listing.
-type runStatus struct {
-	Scheme string `json:"scheme"`
-	Bench  string `json:"bench"`
-	Done   bool   `json:"done"`
-	Cycles uint64 `json:"cycles,omitempty"`
-}
-
-// list returns all runs sorted by (bench, scheme).
-func (s *store) list() []runStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]runStatus, 0, len(s.runs))
-	for _, lr := range s.runs {
-		st := runStatus{Scheme: lr.Scheme, Bench: lr.Bench, Done: lr.final != nil}
-		if lr.final != nil {
-			st.Cycles = lr.final.Cycles
-		}
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bench != out[j].Bench {
-			return out[i].Bench < out[j].Bench
-		}
-		return out[i].Scheme < out[j].Scheme
-	})
-	return out
-}
-
-// server binds the job service, the live-run store, and the instance's
-// metrics to the HTTP API.
+// server binds the job service and the instance's metrics to the HTTP
+// API.
 type server struct {
 	svc *jobs.Service
-	st  *store
 	m   *serverMetrics
 	tr  *obs.Tracer
 
@@ -132,10 +31,9 @@ type server struct {
 }
 
 // newServer wires one complete service instance: its own metrics
-// registry (shared with the job service it creates), the live-run
-// store, and the hook chain. Multiple servers coexist in one process —
-// nothing here registers into global state except the one-time expvar
-// bridge, which only the first instance wins (see bindExpvar).
+// registry (shared with the job service it creates) and the hook
+// chain. Multiple servers coexist in one process — nothing here
+// registers into global state.
 func newServer(cfg jobs.Config) *server {
 	return newServerWithFabric(cfg, nil)
 }
@@ -146,17 +44,9 @@ func newServer(cfg jobs.Config) *server {
 // jobs through it.
 func newServerWithFabric(cfg jobs.Config, mkCoord func(*metrics.Registry) *fabric.Coordinator) *server {
 	m := newServerMetrics()
-	st := newStore(m)
-	userObserve := cfg.Observe
-	cfg.Observe = func(id string, scheme engine.Scheme, bench string, smp *telemetry.Sampler) {
-		st.register(id, scheme, bench, smp)
-		if userObserve != nil {
-			userObserve(id, scheme, bench, smp)
-		}
-	}
 	userFinish := cfg.OnFinish
 	cfg.OnFinish = func(j *jobs.Job) {
-		st.finish(j)
+		m.finish(j)
 		if userFinish != nil {
 			userFinish(j)
 		}
@@ -182,13 +72,12 @@ func newServerWithFabric(cfg jobs.Config, mkCoord func(*metrics.Registry) *fabri
 		// lifecycle edges; a second sink would duplicate each record.
 		cfg.Tracer = obs.New(obs.Config{})
 	}
-	bindExpvar(m)
 	var coord *fabric.Coordinator
 	if mkCoord != nil {
 		coord = mkCoord(m.reg)
 		cfg.Fabric = coord
 	}
-	return &server{svc: jobs.New(cfg), st: st, m: m, tr: cfg.Tracer, coord: coord}
+	return &server{svc: jobs.New(cfg), m: m, tr: cfg.Tracer, coord: coord}
 }
 
 // jsonError writes a {"error": ...} body with the given status.
@@ -205,7 +94,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // handler builds the ServeMux: the job API (the service's public
-// face), the legacy live-telemetry endpoints, and health.
+// face), metrics, and health.
 func (s *server) handler() *http.ServeMux {
 	mux := http.NewServeMux()
 
@@ -233,13 +122,6 @@ func (s *server) handler() *http.ServeMux {
 		// Only the unit endpoint: /version is already mounted above.
 		mux.HandleFunc("POST "+fabric.PathRun, s.worker.HandleRun)
 	}
-
-	mux.HandleFunc("GET /runs", s.legacyRuns)
-	mux.HandleFunc("GET /timeseries", s.legacyTimeseries)
-	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, indexHTML)
-	})
 	return mux
 }
 
@@ -400,92 +282,3 @@ func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, code, st)
 }
-
-func (s *server) legacyRuns(w http.ResponseWriter, r *http.Request) {
-	// sweepDone mirrors the pre-job-service contract: true once no
-	// sweep job is queued or running (the sparkline view stops polling).
-	active := false
-	for _, j := range s.svc.List(0) {
-		if j.Spec().Kind == jobs.KindSweep && !j.State().Terminal() {
-			active = true
-			break
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sweepDone": !active,
-		"runs":      s.st.list(),
-	})
-}
-
-func (s *server) legacyTimeseries(w http.ResponseWriter, r *http.Request) {
-	scheme, bench := r.URL.Query().Get("scheme"), r.URL.Query().Get("bench")
-	lr := s.st.get(scheme, bench)
-	if lr == nil {
-		jsonError(w, http.StatusNotFound, "unknown run (see /runs)")
-		return
-	}
-	resp := struct {
-		Scheme string            `json:"scheme"`
-		Bench  string            `json:"bench"`
-		Done   bool              `json:"done"`
-		Cycles uint64            `json:"cycles,omitempty"`
-		Series *telemetry.Series `json:"series"`
-	}{Scheme: lr.Scheme, Bench: lr.Bench, Done: lr.final != nil}
-	if lr.final != nil {
-		resp.Cycles = lr.final.Cycles
-		resp.Series = lr.final.Telemetry
-	} else if lr.sampler != nil {
-		snap := lr.sampler.Snapshot()
-		resp.Series = &snap
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// indexHTML is the minimal sparkline view: one row per run, polling
-// /timeseries and drawing per-window persists (line) and WPQ max
-// occupancy (filled area) as inline SVG.
-const indexHTML = `<!doctype html>
-<meta charset="utf-8">
-<title>plpserve — live telemetry</title>
-<style>
- body{font:13px/1.4 system-ui,sans-serif;margin:20px;max-width:1100px}
- h1{font-size:16px} .run{margin:4px 0;display:flex;align-items:center;gap:8px}
- .key{width:220px;font-family:monospace} svg{background:#f6f6f6;border:1px solid #ddd}
- .pend{color:#999} .done{color:#2a7}
-</style>
-<h1>plpserve — live telemetry (persists/window, WPQ max occupancy)</h1>
-<div id="runs"></div>
-<script>
-async function draw(){
-  const {runs, sweepDone} = await (await fetch('/runs')).json();
-  const root = document.getElementById('runs');
-  for (const run of runs){
-    const id = run.scheme + '/' + run.bench;
-    let row = document.getElementById(id);
-    if (!row){
-      row = document.createElement('div'); row.className='run'; row.id=id;
-      row.innerHTML = '<span class="key"></span><svg width="600" height="40"></svg><span class="st"></span>';
-      root.appendChild(row);
-    }
-    row.querySelector('.key').textContent = id;
-    const st = row.querySelector('.st');
-    st.textContent = run.done ? ('done, '+run.cycles+' cycles') : 'running';
-    st.className = 'st ' + (run.done ? 'done' : 'pend');
-    const ts = await (await fetch('/timeseries?scheme='+run.scheme+'&bench='+run.bench)).json();
-    const ws = (ts.series && ts.series.windows) || [];
-    if (!ws.length) continue;
-    const svg = row.querySelector('svg'), W=600, H=40;
-    const maxP = Math.max(1, ...ws.map(w=>w.persists));
-    const maxQ = Math.max(1, ...ws.map(w=>w.wpqMax));
-    const x = i => i*W/Math.max(1,ws.length-1);
-    const occ = ws.map((w,i)=>x(i)+','+(H - w.wpqMax*H/maxQ)).join(' ');
-    const per = ws.map((w,i)=>x(i)+','+(H - w.persists*H/maxP)).join(' ');
-    svg.innerHTML =
-      '<polygon points="0,'+H+' '+occ+' '+W+','+H+'" fill="#cde" stroke="none"/>' +
-      '<polyline points="'+per+'" fill="none" stroke="#36c" stroke-width="1.5"/>';
-  }
-  if (!sweepDone) setTimeout(draw, 1000);
-}
-draw();
-</script>
-`

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -141,30 +140,18 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("result sweep malformed: %+v", res.Sweep)
 	}
 
-	// The legacy live view saw the run too.
-	r, err = http.Get(ts.URL + "/runs")
-	if err != nil {
-		t.Fatal(err)
+	// Only the job API serves runs: the live series is
+	// /jobs/{id}?telemetry=1 and the counters are on /metrics.
+	for _, path := range []string{"/", "/runs", "/timeseries?scheme=pipeline&bench=gamess"} {
+		r, err = http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, r.StatusCode)
+		}
 	}
-	var legacy struct {
-		SweepDone bool        `json:"sweepDone"`
-		Runs      []runStatus `json:"runs"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if !legacy.SweepDone || len(legacy.Runs) != 1 || !legacy.Runs[0].Done {
-		t.Fatalf("legacy /runs: %+v", legacy)
-	}
-	r, err = http.Get(ts.URL + "/timeseries?scheme=pipeline&bench=gamess")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /timeseries status %d", r.StatusCode)
-	}
-	r.Body.Close()
 }
 
 // TestJobValidation maps bad specs to 400.
@@ -379,32 +366,5 @@ func TestHealthz(t *testing.T) {
 	}
 	if !body["ok"] {
 		t.Fatal("healthz not ok")
-	}
-}
-
-// TestIndexHTML checks the sparkline page still serves.
-func TestIndexHTML(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Config{Workers: 1})
-	r, err := http.Get(ts.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("index status %d", r.StatusCode)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(r.Body)
-	if !strings.Contains(buf.String(), "live telemetry") {
-		t.Fatal("index page content missing")
-	}
-	// Unknown paths 404 rather than falling through to the index.
-	r2, err := http.Get(ts.URL + "/nonesuch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown path status %d", r2.StatusCode)
 	}
 }

@@ -169,7 +169,7 @@ func runScheme(cfg CampaignConfig, scheme engine.Scheme) (SchemeReport, error) {
 		Horizon:     horizon,
 		MaxInFlight: maxInFlight(log),
 	}
-	sr.Recovery, _ = engine.RecoveryEstimate(base.config(nil, 0), sr.MaxInFlight)
+	sr.Recovery, _ = engine.RecoveryEstimate(base.config(0), sr.MaxInFlight)
 	for _, v := range verdicts {
 		if !v.OK() {
 			sr.Failures = append(sr.Failures, v)
@@ -183,7 +183,7 @@ func runScheme(cfg CampaignConfig, scheme engine.Scheme) (SchemeReport, error) {
 // (admitted but not yet done). A completion and an admission at the
 // same cycle count the completion first — the WPQ entry frees at
 // completion.
-func maxInFlight(log *engine.CrashLog) int {
+func maxInFlight(log *Log) int {
 	type event struct {
 		at    sim.Cycle
 		admit bool
@@ -217,7 +217,7 @@ func maxInFlight(log *engine.CrashLog) int {
 // persist and the last that excludes it), evenly subsampled down to
 // cfg.Systematic, plus cfg.Random seeded-random cycles across the
 // window. Sorted and deduplicated.
-func crashPoints(log *engine.CrashLog, horizon sim.Cycle, cfg CampaignConfig) []sim.Cycle {
+func crashPoints(log *Log, horizon sim.Cycle, cfg CampaignConfig) []sim.Cycle {
 	seen := map[sim.Cycle]bool{}
 	var sys []sim.Cycle
 	add := func(c sim.Cycle, into *[]sim.Cycle) {

@@ -84,13 +84,59 @@ func (c Case) Seed() uint64 {
 }
 
 // config builds the engine configuration of the case's timed run.
-func (c Case) config(log *engine.CrashLog, crashAt sim.Cycle) engine.Config {
+func (c Case) config(crashAt sim.Cycle) engine.Config {
 	return engine.Config{
 		Scheme:            c.Scheme,
 		Instructions:      c.Instructions,
 		CrashAt:           crashAt,
-		CrashLog:          log,
 		FaultEarlyRootAck: c.FaultEarlyRootAck,
+	}
+}
+
+// Log is a run's persist log, the engine observer the campaign
+// reconstructs crash-time state from: every persist the run schedules
+// (program order, block, epoch, WPQ admission, acknowledgement and
+// root completion cycles) plus the WPQ/PTT/ETT occupancy snapshots at
+// the crash cycle, or at the run's final cycle when it is not crashed.
+// Recording never feeds back into the timing model, so results are
+// bit-identical with or without a log attached.
+type Log struct {
+	Records []engine.PersistRecord `json:"records"`
+
+	WPQ wpq.Snapshot  `json:"wpq"`
+	PTT *ptt.Snapshot `json:"ptt,omitempty"`
+	ETT *ett.Snapshot `json:"ett,omitempty"`
+
+	crashAt sim.Cycle
+}
+
+// NewLog returns an empty log for a run crashed at crashAt (0: run to
+// completion).
+func NewLog(crashAt sim.Cycle) *Log { return &Log{crashAt: crashAt} }
+
+// Persist appends one persist record.
+func (l *Log) Persist(r engine.PersistRecord) { l.Records = append(l.Records, r) }
+
+// Epoch is a no-op: epoch membership travels on each persist record.
+func (l *Log) Epoch(engine.EpochRecord) {}
+
+// Sample is a no-op: the log snapshots the hardware once, at End.
+func (l *Log) Sample(engine.Probe) {}
+
+// End takes the hardware occupancy snapshots.
+func (l *Log) End(p engine.Probe) {
+	at := l.crashAt
+	if at == 0 {
+		at = p.At()
+	}
+	l.WPQ = p.WPQ().SnapshotAt(at)
+	if t := p.PTT(); t != nil {
+		s := t.SnapshotAt(at)
+		l.PTT = &s
+	}
+	if e := p.ETT(); e != nil {
+		s := e.SnapshotAt(at)
+		l.ETT = &s
 	}
 }
 
@@ -158,7 +204,7 @@ type Snapshot struct {
 // c.CrashAt from a run's crash log. hw copies the log's hardware
 // occupancy snapshots (valid only when the log came from a run
 // crash-stopped at this very cycle).
-func snapshotFromLog(c Case, log *engine.CrashLog, horizon sim.Cycle, hw bool) Snapshot {
+func snapshotFromLog(c Case, log *Log, horizon sim.Cycle, hw bool) Snapshot {
 	snap := Snapshot{Case: c, Horizon: horizon}
 	at := c.CrashAt
 	var maxSeq, maxEpoch uint64
@@ -200,14 +246,16 @@ func Take(c Case) (Snapshot, error) {
 }
 
 // runLog executes the case's timed run with a crash log attached.
-func runLog(c Case, crashAt sim.Cycle) (*engine.CrashLog, sim.Cycle, error) {
+func runLog(c Case, crashAt sim.Cycle) (*Log, sim.Cycle, error) {
 	p, err := c.profile()
 	if err != nil {
 		return nil, 0, err
 	}
-	var log engine.CrashLog
-	res := engine.Run(c.config(&log, crashAt), p)
-	return &log, res.Cycles, nil
+	log := NewLog(crashAt)
+	cfg := c.config(crashAt)
+	cfg.Observer = log
+	res := engine.Run(cfg, p)
+	return log, res.Cycles, nil
 }
 
 // RecoverySummary condenses the functional recovery of a materialized

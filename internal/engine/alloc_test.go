@@ -75,3 +75,24 @@ func BenchmarkEngineStoreLoop(b *testing.B) {
 		})
 	}
 }
+
+// TestRunMemoryFollowsFootprint bounds one run's total heap allocation
+// at deep trees. The write-merge table covers the data, counter and MAC
+// lines a run can merge — BMT node writes never merge — so its size
+// follows the protected data, and a 12- or 16-level tree costs what
+// the default 9-level one does instead of one table entry per node
+// line (about 10 GB at 12 levels).
+func TestRunMemoryFollowsFootprint(t *testing.T) {
+	p, _ := trace.ProfileByName("gamess")
+	const bound = 256 << 20
+	for _, levels := range []int{12, 16} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Run(Config{Scheme: SchemePipeline, BMTLevels: levels, Instructions: 100_000}, p)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("%d levels: one run allocated %d MB, bound %d MB", levels, got>>20, bound>>20)
+		}
+	}
+}

@@ -7,8 +7,8 @@ import (
 )
 
 // Arena holds the large reusable buffers of a run's hot path: the
-// write-merge table (one cycle per metadata line, ~100MB at full
-// coverage), the epoch-membership generation set, the precomputed BMT
+// write-merge table (one cycle per data, counter and MAC line, ~77MB
+// for the synthetic address map), the epoch-membership generation set, the precomputed BMT
 // path table, and the trace batch buffer. Sweeps that execute many
 // runs back to back hand the same arena to each Config so the big
 // allocations happen once per worker instead of once per run; results
@@ -35,7 +35,7 @@ func NewArena() *Arena { return &Arena{} }
 // arena's backing array when it is large enough. Reuse zeroes only
 // the entries the previous run dirtied (mergedWrite records them):
 // a run touches tens of thousands of distinct lines in a table of
-// ~12 million, so a full clear would cost more than the run itself.
+// ~10 million, so a full clear would cost more than the run itself.
 func (a *Arena) cycles(n uint64) []sim.Cycle {
 	if uint64(cap(a.lastWrite)) < n {
 		a.lastWrite = make([]sim.Cycle, n)

@@ -138,14 +138,14 @@ func TestTraceHookObservesPersists(t *testing.T) {
 	}
 	var persists, epochs uint64
 	cfg := Config{Scheme: SchemeO3, Instructions: testInstr}
-	cfg.Trace = func(ev TraceEvent) {
+	cfg.Observer = NewTracer(TraceConfig{Mode: TraceFull, Sink: func(ev TraceEvent) {
 		switch ev.Kind {
 		case "persist":
 			persists++
 		case "epoch":
 			epochs++
 		}
-	}
+	}})
 	r := Run(cfg, p)
 	if persists != r.Persists {
 		t.Fatalf("trace saw %d persists, result has %d", persists, r.Persists)

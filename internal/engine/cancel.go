@@ -31,3 +31,13 @@ func (m *machine) stopNow(coreTime float64) bool {
 	}
 	return false
 }
+
+// crashed reports whether the core clock has passed the injected crash
+// cycle. Every persist completes no earlier than the core time at
+// which it was admitted, so once the core passes CrashAt no future
+// persist can complete by the crash instant: the run may stop early
+// without changing the crash-time persisted state. With CrashAt unset
+// this is a single comparison per loop iteration.
+func (m *machine) crashed(coreTime float64) bool {
+	return m.cfg.CrashAt != 0 && coreTime > float64(m.cfg.CrashAt)
+}

@@ -103,10 +103,6 @@ func (ck *Checkpoint) Resume(cfg Config) (Result, error) {
 	if got := CheckpointConfigOf(cfg); got != ck.key.Cfg {
 		return Result{}, fmt.Errorf("engine: checkpoint %+v cannot resume diverged config %+v", ck.key.Cfg, got)
 	}
-	tr := newTracer(cfg.Tracing)
-	if tr != nil && cfg.Trace == nil {
-		cfg.Trace = tr.emit
-	}
 	m := newMachine(cfg)
 	if err := m.data.Restore(ck.data); err != nil {
 		return Result{}, fmt.Errorf("engine: resume: %w", err)
@@ -117,5 +113,5 @@ func (ck *Checkpoint) Resume(cfg Config) (Result, error) {
 	st := resumeOpStream(ck.source.CloneSource(), cfg.Instructions+cfg.Warmup,
 		m.ar.opBuf(opBatch), ck.pending, ck.consumed)
 	m.cfg.Instructions += cfg.Warmup
-	return m.measure(st, ck.bench, ck.ipc, tr), nil
+	return m.measure(st, ck.bench, ck.ipc), nil
 }

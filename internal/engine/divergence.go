@@ -74,13 +74,9 @@ var fieldStages = map[string]Stage{
 	"FaultEarlyRootAck":  StageMeasure,
 	"NVM":                StageMeasure,
 
-	"DebugEpochs": StageObservational,
-	"Trace":       StageObservational,
-	"Tracing":     StageObservational,
-	"Arena":       StageObservational,
-	"Telemetry":   StageObservational,
-	"Cancel":      StageObservational,
-	"CrashLog":    StageObservational,
+	"Observer": StageObservational,
+	"Arena":    StageObservational,
+	"Cancel":   StageObservational,
 }
 
 // FieldStages returns a copy of the divergence map (field name ->

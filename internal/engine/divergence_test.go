@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"plp/internal/nvm"
-	"plp/internal/sim"
-	"plp/internal/telemetry"
 )
 
 // TestDivergenceMapCoversConfig pins the divergence map to the Config
@@ -97,13 +95,12 @@ func configMutators(t *testing.T) map[string]func(Config) Config {
 		"CrashAt":            func(c Config) Config { c.CrashAt = 1_000_000; return c },
 		"FaultEarlyRootAck":  func(c Config) Config { c.FaultEarlyRootAck = true; return c },
 		"NVM":                func(c Config) Config { c.NVM = nvm.Config{Banks: 4}; return c },
-		"DebugEpochs":        func(c Config) Config { c.DebugEpochs = 1; return c },
-		"Trace":              func(c Config) Config { c.Trace = func(sim.TraceEvent) {}; return c },
-		"Tracing":            func(c Config) Config { c.Tracing = TraceConfig{Mode: TraceSystemOnly}; return c },
-		"Arena":              func(c Config) Config { c.Arena = NewArena(); return c },
-		"Telemetry":          func(c Config) Config { c.Telemetry = telemetry.NewSampler(1000, 0, nil); return c },
-		"Cancel":             func(c Config) Config { c.Cancel = func() bool { return false }; return c },
-		"CrashLog":           func(c Config) Config { c.CrashLog = &CrashLog{}; return c },
+		"Observer": func(c Config) Config {
+			c.Observer = NewTracer(TraceConfig{Mode: TraceFull, Sink: func(TraceEvent) {}})
+			return c
+		},
+		"Arena":  func(c Config) Config { c.Arena = NewArena(); return c },
+		"Cancel": func(c Config) Config { c.Cancel = func() bool { return false }; return c },
 	}
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {

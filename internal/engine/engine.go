@@ -45,7 +45,6 @@ import (
 	"plp/internal/ptt"
 	"plp/internal/sim"
 	"plp/internal/stats"
-	"plp/internal/telemetry"
 	"plp/internal/trace"
 	"plp/internal/wpq"
 )
@@ -147,28 +146,17 @@ type Config struct {
 	ReadVerification bool
 	// FullMemory persists stack stores too ("_full" configurations).
 	FullMemory bool
-	// DebugEpochs prints scheduling detail for the first N epochs.
-	DebugEpochs int
 	// FlushCyclesPerLine is the on-chip cost of draining one dirty
 	// line from the cache hierarchy to the WPQ at an epoch boundary
 	// (the sfence drain the core observes under epoch persistency).
 	FlushCyclesPerLine int
 
-	// Trace, when non-nil, observes structured events as the run
-	// progresses: one "persist" event per tuple persist (At =
-	// completion, Arg = data block, Arg2 = latency from WPQ admission)
-	// and one "epoch" event per epoch flush (At = completion, Arg =
-	// distinct blocks, Arg2 = latency from the drain). Nil costs
-	// nothing. Trace is the raw full-stream hook; for mode-filtered
-	// tracing (SYSTEM-ONLY / HYBRID / FULL with adaptive sampling) use
-	// Tracing instead — setting both is a validation error.
-	Trace sim.TraceFn
-
-	// Tracing is the mode-aware tracing layer (see TraceMode): a sink
-	// plus an OFF / SYSTEM-ONLY / HYBRID-n% / FULL mode, with optional
-	// adaptive shedding under an overhead budget. The zero value is
-	// off and costs exactly the nil-Trace path.
-	Tracing TraceConfig
+	// Observer, when non-nil, watches the run: every persist, every
+	// epoch flush, a sample point after each, and the run's end (see
+	// Observer). Telemetry series, crash logs and event traces are all
+	// observers. Observation never alters timing; nil costs one pointer
+	// check per persist.
+	Observer Observer
 
 	// Arena, when non-nil, supplies the run's large reusable hot-path
 	// buffers (write-merge table, epoch membership set, precomputed
@@ -178,14 +166,6 @@ type Config struct {
 	// way. An arena must not be shared by concurrent runs. Nil
 	// allocates private buffers.
 	Arena *Arena
-
-	// Telemetry, when non-nil, receives a cumulative probe at every
-	// persist/epoch boundary plus one final probe at run end, building
-	// the windowed time series (WPQ/PTT/ETT occupancy, NVM traffic,
-	// persists retired, stall-cause mix over simulated cycles). Nil
-	// disables sampling at zero cost — no probe is built, nothing
-	// allocates.
-	Telemetry *telemetry.Sampler
 
 	// Cancel, when non-nil, is a cooperative cancellation hook: the run
 	// polls it once every cancelPollOps operations and stops early when
@@ -203,15 +183,9 @@ type Config struct {
 	// persist admitted afterwards can complete by the crash instant.
 	// Timing up to the stop is untouched — with CrashAt zero the
 	// engine behaves bit-identically to a build without the hook
-	// (golden-pinned). The crash-time persisted state is reconstructed
-	// from CrashLog by internal/crash.
+	// (golden-pinned). internal/crash reconstructs the crash-time
+	// persisted state from the run's persist log (an Observer).
 	CrashAt sim.Cycle
-	// CrashLog, when non-nil, records every persist the run schedules
-	// (program order, block, epoch, WPQ admission and completion
-	// cycles) plus end-of-run WPQ/PTT/ETT occupancy snapshots.
-	// Recording is observational and never alters timing; nil costs a
-	// nil check per persist.
-	CrashLog *CrashLog
 	// FaultEarlyRootAck is a fault-injection hook for validating the
 	// crash campaign: under the sp and pipeline schemes every 7th
 	// persist acknowledges — releases its WPQ entry and reports
@@ -226,10 +200,6 @@ type Config struct {
 
 	NVM nvm.Config
 }
-
-// TraceEvent re-exports the simulation kernel's event record for
-// Config.Trace consumers.
-type TraceEvent = sim.TraceEvent
 
 // WithMACLatency returns cfg with an explicit MAC latency (required to
 // express the Fig. 9 zero-latency point, since 0 means "default").
@@ -343,11 +313,6 @@ type Result struct {
 	// advances and Cycles before rounding — a consistency check on the
 	// timing model (near zero when every stall is labelled).
 	AttribDrift float64
-
-	// Trace reports what the mode-aware tracer emitted, dropped, and
-	// shed (zero unless Config.Tracing was active). Observational only:
-	// no other Result field depends on it.
-	Trace TraceStats
 }
 
 // CoalescingReduction is the fraction of BMT node updates removed.
@@ -395,7 +360,10 @@ type machine struct {
 	// queued coalesces instead of consuming write bandwidth. It is a
 	// flat per-line table (index = layout line, value = drain time + 1,
 	// 0 = never written): the hot path's most frequent lookup, which as
-	// a map both allocated steadily and grew without bound.
+	// a map both allocated steadily and grew without bound. Only data,
+	// counter and MAC lines merge — BMT node writes go straight to NVM —
+	// so the table stops at the tree region: its size follows the
+	// protected data, not the tree's depth.
 	lastWrite []sim.Cycle
 
 	// paths precomputes the leaf-to-root update path of every BMT leaf
@@ -433,11 +401,10 @@ type machine struct {
 	segs      []segMark
 	segOrigin sim.Cycle
 
-	// Telemetry probe sources: the scheme runner registers whichever
-	// tracking table it drives so sample() can read its occupancy.
-	pttTab      *ptt.Table
-	ettSched    *ett.Scheduler
-	probeStalls []float64 // reusable cumulative stall buffer
+	// Probe sources: the scheme runner registers whichever tracking
+	// table it drives so the observer's probe can reach it.
+	pttTab   *ptt.Table
+	ettSched *ett.Scheduler
 
 	// Cooperative cancellation (Config.Cancel): cancelLeft counts ops
 	// down to the next poll; cancelStop latches a fired hook so the
@@ -487,7 +454,7 @@ func newMachine(cfg Config) *machine {
 		m.aliasBlocks = covered
 	}
 	m.lay = layout.MustNew(m.aliasBlocks, m.topo)
-	m.lastWrite = m.ar.cycles(m.lay.TotalBlocks())
+	m.lastWrite = m.ar.cycles(m.lay.BMTBase)
 	// One BMT leaf per encryption page: precompute the paths of every
 	// leaf index the synthetic address map can reach (min of the page
 	// count and, for shallow ablation trees, the whole leaf set).
@@ -510,9 +477,6 @@ func newMachine(cfg Config) *machine {
 			m.mark(CompNVMWrite, d)
 		}
 		return d
-	}
-	if cfg.Telemetry != nil {
-		m.probeStalls = make([]float64, NumComponents)
 	}
 	if cfg.Cancel != nil {
 		m.cancelLeft = cancelPollOps
@@ -566,35 +530,6 @@ func (m *machine) epochReset() {
 	if len(m.epochOver) > 0 {
 		clear(m.epochOver)
 	}
-}
-
-// sample feeds the telemetry sampler one cumulative probe at the
-// given core cycle. With no sampler installed it is a nil check and
-// nothing more (zero allocations, asserted in tests).
-func (m *machine) sample(at sim.Cycle, res *Result) {
-	tel := m.cfg.Telemetry
-	if tel == nil {
-		return
-	}
-	for i := range m.probeStalls {
-		m.probeStalls[i] = m.att.comp[i]
-	}
-	p := telemetry.Probe{
-		At:           at,
-		WPQOccupancy: m.q.InFlightAt(at),
-		Persists:     res.Persists,
-		Epochs:       res.Epochs,
-		NVMReads:     m.mem.Reads,
-		NVMWrites:    m.mem.Writes,
-		Stalls:       m.probeStalls,
-	}
-	if m.pttTab != nil {
-		p.PTTOccupancy = m.pttTab.InFlightAt(at)
-	}
-	if m.ettSched != nil {
-		p.ETTOccupancy = m.ettSched.InFlightAt(at)
-	}
-	tel.Record(p)
 }
 
 // leafOf maps a data block to its BMT leaf label (one leaf per
@@ -675,14 +610,6 @@ func (m *machine) metaFetch(b addr.Block, ready sim.Cycle) sim.Cycle {
 		m.mem.Read(m.lay.MACLine(ab), ready)
 	}
 	return ready
-}
-
-// traceEvent emits one structured trace event when a Trace hook is
-// installed; with no hook it is a nil check and nothing more.
-func (m *machine) traceEvent(kind string, at sim.Cycle, arg, arg2 uint64) {
-	if m.cfg.Trace != nil {
-		m.cfg.Trace(sim.TraceEvent{At: at, Kind: kind, Arg: arg, Arg2: arg2})
-	}
 }
 
 // mergedWrite schedules an NVM write of the given line unless a write
@@ -810,14 +737,6 @@ func RunSource(cfg Config, bench string, ipc float64, src trace.Source) Result {
 	if ipc <= 0 {
 		ipc = 1
 	}
-	// The mode-aware tracer installs itself as the run's Trace hook, so
-	// the emit sites stay mode-oblivious. OFF (or no sink) keeps the
-	// nil-hook path untouched; a directly-set Trace hook wins (Validate
-	// rejects configuring both).
-	tr := newTracer(cfg.Tracing)
-	if tr != nil && cfg.Trace == nil {
-		cfg.Trace = tr.emit
-	}
 	m := newMachine(cfg)
 
 	st := newOpStream(src, cfg.Instructions+cfg.Warmup, m.ar.opBuf(opBatch))
@@ -826,7 +745,7 @@ func RunSource(cfg Config, bench string, ipc float64, src trace.Source) Result {
 		m.cfg.Instructions += cfg.Warmup
 	}
 
-	return m.measure(st, bench, ipc, tr)
+	return m.measure(st, bench, ipc)
 }
 
 // measure runs the machine's measured region — the scheme-specific
@@ -834,7 +753,7 @@ func RunSource(cfg Config, bench string, ipc float64, src trace.Source) Result {
 // The stream must already be past the warm-up prefix (and
 // m.cfg.Instructions raised by the warm-up's instructions), whether it
 // got there by streaming through warm() or by Checkpoint.Resume.
-func (m *machine) measure(st *opStream, bench string, ipc float64, tr *tracer) Result {
+func (m *machine) measure(st *opStream, bench string, ipc float64) Result {
 	var res Result
 	res.Scheme = m.cfg.Scheme
 	res.Bench = bench
@@ -844,7 +763,6 @@ func (m *machine) measure(st *opStream, bench string, ipc float64, tr *tracer) R
 	}
 	m.spec.run(m, st, ipc, &res)
 
-	m.finishCrashLog(&res)
 	res.Instructions = m.cfg.Instructions - m.cfg.Warmup
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Instructions) / float64(res.Cycles)
@@ -858,12 +776,11 @@ func (m *machine) measure(st *opStream, bench string, ipc float64, tr *tracer) R
 	res.BMTHitRate = m.bmtCache.Stats.HitRate()
 	res.NVMReads = m.mem.Reads
 	res.NVMWrites = m.mem.Writes
-	if tr != nil {
-		res.Trace = tr.finish()
+	if obs := m.cfg.Observer; obs != nil {
+		// The final probe carries the run totals, so a telemetry
+		// series' window deltas sum exactly to the Result counters.
+		obs.End(Probe{res.Cycles, m, &res})
 	}
-	// Close the time series: the final probe carries the run totals, so
-	// the per-window deltas sum exactly to the Result counters.
-	m.sample(res.Cycles, &res)
 	return res
 }
 

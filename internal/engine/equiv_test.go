@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -57,53 +55,6 @@ func TestArenaEquivalence(t *testing.T) {
 	second := Run(cfg, p)
 	if !reflect.DeepEqual(first, second) {
 		t.Error("coalescing: consecutive runs on one arena diverge")
-	}
-}
-
-// TestCrashLogDeterminism pins the crash campaign's repro contract on
-// every scheme: the same (scheme, trace seed, crash cycle) triple
-// yields a byte-identical persist log across repeated runs and across
-// arena-backed engines, and attaching a log to an uncrashed run leaves
-// the Result bit-identical — recording is purely observational.
-func TestCrashLogDeterminism(t *testing.T) {
-	p, _ := trace.ProfileByName("gcc")
-	ar := NewArena()
-	schemes := AllSchemes()
-	for _, s := range schemes {
-		cfg := Config{Scheme: s, Instructions: 30_000}
-		base := Run(cfg, p)
-
-		var logged CrashLog
-		cfgL := cfg
-		cfgL.CrashLog = &logged
-		if got := Run(cfgL, p); !reflect.DeepEqual(base, got) {
-			t.Errorf("%s: attaching a crash log perturbed the Result", s)
-		}
-
-		crashed := cfg
-		crashed.CrashAt = base.Cycles / 2
-		logs := make([]CrashLog, 3)
-		for i := range logs {
-			c := crashed
-			c.CrashLog = &logs[i]
-			if i == 2 {
-				c.Arena = ar // arena-backed engine must not leak into the log
-			}
-			Run(c, p)
-		}
-		want, err := json.Marshal(&logs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < len(logs); i++ {
-			got, err := json.Marshal(&logs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Errorf("%s: crash log %d differs from run 0 at crash cycle %d", s, i, crashed.CrashAt)
-			}
-		}
 	}
 }
 

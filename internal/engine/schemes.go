@@ -55,13 +55,9 @@ func runSecureWB(m *machine, st *opStream, ipc float64, res *Result) {
 		done := tab.SequentialPersist(start, m.seqCost)
 		m.persistWrites(blk, done)
 		m.q.Occupy(done)
-		m.recordPersist(blk, 0, grant, done, done)
-		m.traceEvent("persist", done, uint64(blk), uint64(done-grant))
-		res.PersistLatency.Add(uint64(done - grant))
-		res.Persists++
 		res.Writebacks++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.sample(cyc(coreTime), res)
+		m.retire(res, blk, grant, done, done, coreTime)
 	}
 
 	for st.progress() < m.cfg.Instructions {
@@ -129,12 +125,8 @@ func runUnordered(m *machine, st *opStream, ipc float64, res *Result) {
 		}
 		m.persistWrites(op.Block, done)
 		m.q.Occupy(done)
-		m.recordPersist(op.Block, 0, grant, done, done)
-		m.traceEvent("persist", done, uint64(op.Block), uint64(done-grant))
-		res.PersistLatency.Add(uint64(done - grant))
-		res.Persists++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.sample(cyc(coreTime), res)
+		m.retire(res, op.Block, grant, done, done, coreTime)
 	}
 	res.Cycles = cyc(coreTime)
 }
@@ -204,12 +196,8 @@ func runSP(m *machine, st *opStream, ipc float64, res *Result) {
 		before := coreTime
 		coreTime = maxf(coreTime, ack) // strict: store blocks the core
 		m.chargeStall(before, ack)
-		m.recordPersist(op.Block, 0, grant, ack, done)
-		m.traceEvent("persist", ack, uint64(op.Block), uint64(ack-grant))
-		res.PersistLatency.Add(uint64(ack - grant))
-		res.Persists++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.sample(cyc(coreTime), res)
+		m.retire(res, op.Block, grant, ack, done, coreTime)
 	}
 	res.Cycles = cyc(coreTime)
 }
@@ -255,7 +243,6 @@ func runPipeline(m *machine, st *opStream, ipc float64, res *Result) {
 		m.persistWrites(op.Block, done)
 		ack := m.faultAck(res.Persists, grant, done)
 		m.q.Occupy(ack)
-		m.recordPersist(op.Block, 0, grant, ack, done)
 		// Under strict persistency the store holds the front of the
 		// persist order until it enters the pipeline's leaf stage. The
 		// walk beyond leafStart is off the core's critical path, so
@@ -263,11 +250,8 @@ func runPipeline(m *machine, st *opStream, ipc float64, res *Result) {
 		before := coreTime
 		coreTime = maxf(coreTime, leafStart)
 		m.chargeStall(before, leafStart)
-		m.traceEvent("persist", ack, uint64(op.Block), uint64(ack-grant))
-		res.PersistLatency.Add(uint64(ack - grant))
-		res.Persists++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.sample(cyc(coreTime), res)
+		m.retire(res, op.Block, grant, ack, done, coreTime)
 	}
 	res.Cycles = cyc(coreTime)
 }
@@ -352,18 +336,11 @@ func runEpoch(m *machine, st *opStream, ipc float64, res *Result) {
 			leafReady = append(leafReady, m.metaFetch(blk, grant))
 		}
 		admitted, done, perDone := sched.ScheduleEpoch(grant, leaves, cost)
-		if res.Epochs < uint64(m.cfg.DebugEpochs) {
-			println("epoch", int(res.Epochs), "n", len(blocks), "core", int(cyc(coreTime)),
-				"grant", int(grant), "admitted", int(admitted), "done", int(done))
-		}
 		for i, blk := range blocks {
 			m.persistWrites(blk, perDone[i])
 			m.q.Occupy(perDone[i])
-			m.recordPersist(blk, res.Epochs, grant, perDone[i], perDone[i])
-			m.traceEvent("persist", perDone[i], uint64(blk), uint64(perDone[i]-grant))
-			res.PersistLatency.Add(uint64(perDone[i] - grant))
+			m.persisted(res, blk, grant, perDone[i])
 		}
-		m.traceEvent("epoch", done, uint64(len(blocks)), uint64(done-ready))
 		// The core waits at the epoch boundary only for an ETT slot.
 		// The walk's own marks (recorded while scheduling) are not on
 		// the core path; relabel the boundary wait explicitly.
@@ -373,9 +350,7 @@ func runEpoch(m *machine, st *opStream, ipc float64, res *Result) {
 		before := coreTime
 		coreTime = maxf(coreTime, admitted)
 		m.chargeStall(before, admitted)
-		res.Persists += uint64(len(blocks))
-		res.Epochs++
-		m.sample(cyc(coreTime), res)
+		m.epochRetired(res, len(blocks), ready, done, coreTime)
 		blocks = blocks[:0]
 		m.epochReset()
 		storesInEpoch = 0
@@ -496,15 +471,11 @@ func runShadow(m *machine, st *opStream, ipc float64, res *Result) {
 		}
 		ack := m.faultAck(res.Persists, grant, done)
 		m.q.Occupy(ack)
-		m.recordPersist(op.Block, 0, grant, ack, root)
 		before := coreTime
 		coreTime = maxf(coreTime, leafStart)
 		m.chargeStall(before, leafStart)
-		m.traceEvent("persist", ack, uint64(op.Block), uint64(ack-grant))
-		res.PersistLatency.Add(uint64(ack - grant))
-		res.Persists++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.sample(cyc(coreTime), res)
+		m.retire(res, op.Block, grant, ack, root, coreTime)
 	}
 	res.Cycles = cyc(coreTime)
 }
@@ -566,14 +537,10 @@ func runSuperMemWC(m *machine, st *opStream, ipc float64, res *Result) {
 		lastLeaf, lastRootDone, haveLast = leaf, done, true
 		m.persistWrites(op.Block, done)
 		m.q.Occupy(done)
-		m.recordPersist(op.Block, 0, grant, done, done)
 		before := coreTime
 		coreTime = maxf(coreTime, leafStart)
 		m.chargeStall(before, leafStart)
-		m.traceEvent("persist", done, uint64(op.Block), uint64(done-grant))
-		res.PersistLatency.Add(uint64(done - grant))
-		res.Persists++
-		m.sample(cyc(coreTime), res)
+		m.retire(res, op.Block, grant, done, done, coreTime)
 	}
 	res.Cycles = cyc(coreTime)
 }

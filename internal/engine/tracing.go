@@ -1,33 +1,25 @@
 package engine
 
-import (
-	"fmt"
-	"time"
+import "fmt"
 
-	"plp/internal/sim"
-)
-
-// TraceMode selects how much of the structured event stream a run
-// delivers to its trace sink. Tracing is observational in every mode:
+// TraceMode selects how much of a run's structured event stream a
+// tracer delivers to its sink. Tracing is observational in every mode:
 // simulated cycles are bit-identical whether tracing is off, full, or
-// anything between (equivalence-pinned across all schemes). The modes
-// trade simulator wall-clock overhead for event resolution:
+// anything between. The modes trade simulator wall-clock overhead for
+// event resolution:
 //
-//	OFF          no sink call ever; the exact nil-hook hot path,
-//	             zero allocations and zero extra work (pinned by the
-//	             delta-method alloc test and BenchmarkTracingOff).
-//	SYSTEM-ONLY  system-level events only (epoch flushes and any
-//	             future coarse kinds); per-persist events dropped.
-//	             Cost is one sink call per epoch, thousands of times
-//	             rarer than persists.
+//	OFF          no tracer at all: the nil-Observer hot path, zero
+//	             allocations and zero extra work (BenchmarkTracingOff).
+//	SYSTEM-ONLY  epoch events only; per-persist events dropped. Cost is
+//	             one sink call per epoch, thousands of times rarer than
+//	             persists.
 //	HYBRID       SYSTEM-ONLY plus a deterministic SamplePercent% of
-//	             persist events, with optional adaptive shedding (see
-//	             TraceConfig.OverheadBudget).
+//	             persist events.
 //	FULL         every event.
 type TraceMode string
 
 // The tracing modes. The zero value is TraceOff, so an unconfigured
-// Config traces nothing.
+// TraceConfig traces nothing.
 const (
 	TraceOff        TraceMode = ""
 	TraceSystemOnly TraceMode = "system"
@@ -39,41 +31,20 @@ const (
 // TraceConfig.SamplePercent is 0.
 const DefaultSamplePercent = 10
 
-// DefaultOverheadCheckEvery is how many delivered events pass between
-// adaptive-overhead evaluations when TraceConfig.CheckEvery is 0.
-const DefaultOverheadCheckEvery = 256
-
-// TraceConfig is the mode-aware tracing layer over Config.Trace: a
-// sink plus a mode that decides which events reach it.
+// TraceConfig is a sink plus a mode that decides which of a run's
+// events reach it (see NewTracer).
 type TraceConfig struct {
 	// Mode selects the event subset ("" = off).
 	Mode TraceMode
 	// Sink receives the selected events. A nil sink disables tracing
 	// regardless of mode.
-	Sink sim.TraceFn
+	Sink func(TraceEvent)
 	// SamplePercent is HYBRID's persist-event sampling rate in percent
 	// (1..100; 0 = DefaultSamplePercent). Sampling is deterministic —
 	// an accumulator admits exactly SamplePercent of every 100
 	// consecutive persist events — so repeated runs emit identical
-	// event streams (when adaptive shedding is disabled).
+	// event streams.
 	SamplePercent int
-	// OverheadBudget, when > 0, enables adaptive shedding in HYBRID
-	// mode: the tracer measures the wall-clock fraction spent inside
-	// the sink and, every CheckEvery delivered events, halves the
-	// effective sampling rate while the fraction exceeds the budget
-	// (e.g. 0.05 = 5% of wall time). The rate only sheds — down toward
-	// SYSTEM-ONLY (rate 0) — and never recovers mid-run, so a load
-	// burst cannot oscillate the stream. Shedding depends on real time
-	// and therefore makes the emitted subset machine-dependent; the
-	// simulated cycles remain bit-identical regardless.
-	OverheadBudget float64
-	// CheckEvery overrides the adaptive evaluation period (0 =
-	// DefaultOverheadCheckEvery).
-	CheckEvery int
-	// Clock overrides the adaptive controller's monotonic clock
-	// (nanoseconds); tests script it to force shedding
-	// deterministically. Nil uses the real clock.
-	Clock func() int64
 }
 
 // Validate reports why the tracing configuration cannot run.
@@ -87,55 +58,14 @@ func (tc TraceConfig) Validate() error {
 	if tc.SamplePercent < 0 || tc.SamplePercent > 100 {
 		return fmt.Errorf("engine: trace SamplePercent must be in [0,100], got %d", tc.SamplePercent)
 	}
-	if tc.OverheadBudget < 0 || tc.OverheadBudget >= 1 {
-		return fmt.Errorf("engine: trace OverheadBudget must be in [0,1), got %g", tc.OverheadBudget)
-	}
-	if tc.CheckEvery < 0 {
-		return fmt.Errorf("engine: trace CheckEvery must be >= 0, got %d", tc.CheckEvery)
-	}
 	return nil
 }
 
-// TraceStats reports what the tracer did during one run (zero when
-// tracing was off).
-type TraceStats struct {
-	// Emitted counts events delivered to the sink; Dropped counts
-	// events suppressed by the mode or by sampling.
-	Emitted, Dropped uint64
-	// Sheds counts adaptive rate halvings; FinalSamplePercent is the
-	// effective HYBRID persist rate at run end (SamplePercent when no
-	// shedding occurred; 0 means the run degraded to SYSTEM-ONLY).
-	Sheds              int
-	FinalSamplePercent int
-}
-
-// tracer filters the engine's event stream per the configured mode.
-// It installs itself as the run's Config.Trace hook, so the engine's
-// emit sites stay mode-oblivious; OFF installs nothing and keeps the
-// nil-hook path byte-for-byte.
-type tracer struct {
-	mode TraceMode
-	sink sim.TraceFn
-
-	// Deterministic persist sampling (HYBRID): acc gains rate per
-	// persist event and admits one each time it reaches 100.
-	rate int
-	acc  int
-
-	// Adaptive shedding state.
-	budget      float64
-	checkEvery  int
-	sinceCheck  int
-	clock       func() int64
-	windowStart int64
-	sinkNS      int64
-
-	stats TraceStats
-}
-
-// newTracer builds the run's tracer, or nil when cfg traces nothing
-// (OFF, or no sink) — the nil case costs the caller nothing.
-func newTracer(tc TraceConfig) *tracer {
+// NewTracer returns the Observer that streams a run's events to
+// tc.Sink as tc.Mode selects, or nil — the free path — when tc traces
+// nothing (OFF, or no sink). A tracer carries per-run sampling state:
+// build one per run.
+func NewTracer(tc TraceConfig) Observer {
 	if tc.Mode == TraceOff || tc.Sink == nil {
 		return nil
 	}
@@ -145,77 +75,34 @@ func newTracer(tc TraceConfig) *tracer {
 		if t.rate == 0 {
 			t.rate = DefaultSamplePercent
 		}
-		if tc.OverheadBudget > 0 {
-			t.budget = tc.OverheadBudget
-			t.checkEvery = tc.CheckEvery
-			if t.checkEvery == 0 {
-				t.checkEvery = DefaultOverheadCheckEvery
-			}
-			t.clock = tc.Clock
-			if t.clock == nil {
-				base := time.Now()
-				t.clock = func() int64 { return int64(time.Since(base)) }
-			}
-			t.windowStart = t.clock()
-		}
 	}
 	return t
 }
 
-// emit is the run's Config.Trace hook.
-func (t *tracer) emit(ev sim.TraceEvent) {
-	if ev.Kind == "persist" {
-		switch t.mode {
-		case TraceSystemOnly:
-			t.stats.Dropped++
-			return
-		case TraceHybrid:
-			t.acc += t.rate
-			if t.acc < 100 {
-				t.stats.Dropped++
-				return
-			}
-			t.acc -= 100
-		}
-	}
-	t.stats.Emitted++
-	if t.budget > 0 {
-		before := t.clock()
-		t.sink(ev)
-		t.sinkNS += t.clock() - before
-		t.sinceCheck++
-		if t.sinceCheck >= t.checkEvery {
-			t.checkOverhead()
-		}
+// tracer filters the run's persist and epoch records into trace
+// events. HYBRID's accumulator gains rate per persist event and admits
+// one each time it reaches 100.
+type tracer struct {
+	mode TraceMode
+	sink func(TraceEvent)
+	rate int
+	acc  int
+}
+
+func (t *tracer) Persist(r PersistRecord) {
+	switch t.mode {
+	case TraceSystemOnly:
 		return
-	}
-	t.sink(ev)
-}
-
-// checkOverhead evaluates the sink-time fraction over the window just
-// finished and halves the sampling rate while over budget.
-func (t *tracer) checkOverhead() {
-	now := t.clock()
-	if wall := now - t.windowStart; wall > 0 &&
-		float64(t.sinkNS)/float64(wall) > t.budget && t.rate > 0 {
-		t.rate /= 2
-		t.stats.Sheds++
-	}
-	t.sinceCheck = 0
-	t.sinkNS = 0
-	t.windowStart = now
-}
-
-// finish closes the run's stats.
-func (t *tracer) finish() TraceStats {
-	st := t.stats
-	if t.mode == TraceHybrid {
-		st.FinalSamplePercent = t.rate
-	} else if t.mode == TraceFull || t.mode == TraceSystemOnly {
-		st.FinalSamplePercent = 100
-		if t.mode == TraceSystemOnly {
-			st.FinalSamplePercent = 0
+	case TraceHybrid:
+		t.acc += t.rate
+		if t.acc < 100 {
+			return
 		}
+		t.acc -= 100
 	}
-	return st
+	t.sink(r.event())
 }
+
+func (t *tracer) Epoch(r EpochRecord) { t.sink(r.event()) }
+func (t *tracer) Sample(Probe)        {}
+func (t *tracer) End(Probe)           {}

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"reflect"
 	"testing"
 
-	"plp/internal/sim"
 	"plp/internal/trace"
 )
 
@@ -14,7 +12,7 @@ type countingSink struct {
 	persists, epochs, other uint64
 }
 
-func (c *countingSink) fn(ev sim.TraceEvent) {
+func (c *countingSink) fn(ev TraceEvent) {
 	switch ev.Kind {
 	case "persist":
 		c.persists++
@@ -34,10 +32,8 @@ func runTraced(t *testing.T, scheme Scheme, tc TraceConfig) (Result, *countingSi
 		t.Fatal("no gcc profile")
 	}
 	sink := &countingSink{}
-	if tc.Mode != TraceOff {
-		tc.Sink = sink.fn
-	}
-	cfg := Config{Scheme: scheme, Instructions: 150_000, Tracing: tc}
+	tc.Sink = sink.fn
+	cfg := Config{Scheme: scheme, Instructions: 150_000, Observer: NewTracer(tc)}
 	return Run(cfg, p), sink
 }
 
@@ -48,13 +44,16 @@ func runTraced(t *testing.T, scheme Scheme, tc TraceConfig) (Result, *countingSi
 func TestTracingModeSwitching(t *testing.T) {
 	scheme := SchemeCoalescing // emits both persist and epoch events
 
+	if NewTracer(TraceConfig{Mode: TraceOff, Sink: (&countingSink{}).fn}) != nil {
+		t.Fatal("OFF built a tracer; it must be the nil observer")
+	}
 	off, offSink := runTraced(t, scheme, TraceConfig{Mode: TraceOff})
 	system, sysSink := runTraced(t, scheme, TraceConfig{Mode: TraceSystemOnly})
 	hybrid, hybSink := runTraced(t, scheme, TraceConfig{Mode: TraceHybrid, SamplePercent: 10})
 	full, fullSink := runTraced(t, scheme, TraceConfig{Mode: TraceFull})
 
-	if offSink.total() != 0 || off.Trace != (TraceStats{}) {
-		t.Fatalf("OFF emitted %d events, stats %+v", offSink.total(), off.Trace)
+	if offSink.total() != 0 {
+		t.Fatalf("OFF emitted %d events", offSink.total())
 	}
 	if sysSink.persists != 0 || sysSink.epochs == 0 {
 		t.Fatalf("SYSTEM-ONLY: %d persist, %d epoch events", sysSink.persists, sysSink.epochs)
@@ -71,13 +70,6 @@ func TestTracingModeSwitching(t *testing.T) {
 	if hybSink.epochs != fullSink.epochs {
 		t.Fatalf("HYBRID dropped epoch events: %d vs %d", hybSink.epochs, fullSink.epochs)
 	}
-	if hybrid.Trace.Dropped == 0 || hybrid.Trace.Emitted != hybSink.total() {
-		t.Fatalf("HYBRID stats inconsistent: %+v vs sink %d", hybrid.Trace, hybSink.total())
-	}
-	if system.Trace.FinalSamplePercent != 0 || hybrid.Trace.FinalSamplePercent != 10 {
-		t.Fatalf("FinalSamplePercent: system %d, hybrid %d",
-			system.Trace.FinalSamplePercent, hybrid.Trace.FinalSamplePercent)
-	}
 
 	for name, r := range map[string]Result{"system": system, "hybrid": hybrid, "full": full} {
 		if r.Cycles != off.Cycles {
@@ -86,146 +78,51 @@ func TestTracingModeSwitching(t *testing.T) {
 	}
 }
 
-// TestTracingCycleEquivalence pins the observational guarantee across
-// every scheme: all four modes leave the entire Result (cycles,
-// persist counts, histograms, attribution) bit-identical to a run
-// with no tracing configured.
-func TestTracingCycleEquivalence(t *testing.T) {
-	p, _ := trace.ProfileByName("gcc")
-	for _, s := range AllSchemes() {
-		s := s
-		t.Run(string(s), func(t *testing.T) {
-			base := Run(Config{Scheme: s, Instructions: 100_000}, p)
-			for _, mode := range []TraceMode{TraceSystemOnly, TraceHybrid, TraceFull} {
-				sink := &countingSink{}
-				got := Run(Config{Scheme: s, Instructions: 100_000,
-					Tracing: TraceConfig{Mode: mode, Sink: sink.fn}}, p)
-				got.Trace = TraceStats{} // the only field tracing may touch
-				if !reflect.DeepEqual(got, base) {
-					t.Errorf("mode %q perturbed the result (cycles %d vs %d)",
-						mode, got.Cycles, base.Cycles)
-				}
-			}
-		})
-	}
-}
-
-// TestAdaptiveShedUnderLoad scripts the tracer's clock so every sink
-// call appears to consume far more wall time than the budget allows:
-// the HYBRID rate must halve step by step to 0 — SYSTEM-ONLY behavior
-// — while epoch events keep flowing and cycles stay untouched.
-func TestAdaptiveShedUnderLoad(t *testing.T) {
-	var now int64
-	clock := func() int64 { now += 1_000_000; return now } // 1ms per reading
-
-	base, _ := runTraced(t, SchemeCoalescing, TraceConfig{Mode: TraceOff})
-	sink := &countingSink{}
-	p, _ := trace.ProfileByName("gcc")
-	res := Run(Config{Scheme: SchemeCoalescing, Instructions: 150_000, Tracing: TraceConfig{
-		Mode:           TraceHybrid,
-		SamplePercent:  100, // start at FULL-density persists
-		OverheadBudget: 0.05,
-		CheckEvery:     16,
-		Sink:           sink.fn,
-		Clock:          clock,
-	}}, p)
-
-	if res.Trace.Sheds == 0 {
-		t.Fatalf("over-budget tracer never shed: %+v", res.Trace)
-	}
-	if res.Trace.FinalSamplePercent != 0 {
-		t.Fatalf("rate should shed to 0 (SYSTEM-ONLY), ended at %d%% after %d sheds",
-			res.Trace.FinalSamplePercent, res.Trace.Sheds)
-	}
-	// 100 -> 50 -> 25 -> 12 -> 6 -> 3 -> 1 -> 0: seven halvings.
-	if res.Trace.Sheds != 7 {
-		t.Errorf("sheds = %d, want 7 (halving from 100%% to 0)", res.Trace.Sheds)
-	}
-	if sink.persists >= res.Persists {
-		t.Errorf("shedding never reduced persist events: %d of %d", sink.persists, res.Persists)
-	}
-	if sink.epochs != res.Epochs {
-		t.Errorf("system-level epoch events must survive shedding: %d of %d", sink.epochs, res.Epochs)
-	}
-	if res.Cycles != base.Cycles {
-		t.Errorf("adaptive shedding moved cycles: %d vs %d", res.Cycles, base.Cycles)
-	}
-}
-
 // TestTraceConfigValidate covers the tracing validation surface.
 func TestTraceConfigValidate(t *testing.T) {
-	bad := []Config{
-		{Tracing: TraceConfig{Mode: "verbose"}},
-		{Tracing: TraceConfig{Mode: TraceHybrid, SamplePercent: 101}},
-		{Tracing: TraceConfig{Mode: TraceHybrid, SamplePercent: -1}},
-		{Tracing: TraceConfig{Mode: TraceHybrid, OverheadBudget: 1.5}},
-		{Tracing: TraceConfig{Mode: TraceHybrid, CheckEvery: -2}},
-		{Trace: func(sim.TraceEvent) {}, Tracing: TraceConfig{Mode: TraceFull, Sink: func(sim.TraceEvent) {}}},
+	bad := []TraceConfig{
+		{Mode: "verbose"},
+		{Mode: TraceHybrid, SamplePercent: 101},
+		{Mode: TraceHybrid, SamplePercent: -1},
 	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+	for i, tc := range bad {
+		if err := tc.Validate(); err == nil {
 			t.Errorf("config %d validated clean", i)
 		}
 	}
-	ok := Config{Tracing: TraceConfig{Mode: TraceHybrid, SamplePercent: 50, OverheadBudget: 0.1, Sink: func(sim.TraceEvent) {}}}
+	ok := TraceConfig{Mode: TraceHybrid, SamplePercent: 50, Sink: func(TraceEvent) {}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid tracing config rejected: %v", err)
 	}
 }
 
-// TestTracingOffZeroAlloc extends the delta-method steady-state test
-// to the tracing layer: a Config whose Tracing mode is OFF (even with
-// a sink wired) must allocate exactly what an untraced run allocates —
-// the OFF path installs no hook and builds no tracer.
-func TestTracingOffZeroAlloc(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc accounting run is slow")
-	}
-	p, _ := trace.ProfileByName("gcc")
-	sink := &countingSink{}
-	const short, long = 300_000, 1_500_000
-	const tolerance = 200
-	ar := NewArena()
-	off := TraceConfig{Mode: TraceOff, Sink: sink.fn}
-	Run(Config{Scheme: SchemeCoalescing, Instructions: 50_000, Arena: ar, Tracing: off}, p)
-	base := allocsForRun(Config{Scheme: SchemeCoalescing, Instructions: short, Arena: ar, Tracing: off}, p)
-	grown := allocsForRun(Config{Scheme: SchemeCoalescing, Instructions: long, Arena: ar, Tracing: off}, p)
-	if grown > base+tolerance {
-		t.Errorf("OFF tracing leaks allocations: %d instructions allocated %d, %d allocated %d",
-			short, base, long, grown)
-	}
-	if sink.total() != 0 {
-		t.Errorf("OFF mode delivered %d events", sink.total())
-	}
-}
-
-// benchMachine builds a minimal machine for per-event benchmarks (a
-// shallow tree keeps setup small; only the trace path is measured).
-func benchMachine(b *testing.B, tc TraceConfig) *machine {
+// benchMachine builds a minimal machine for per-persist benchmarks (a
+// shallow tree keeps setup small; only the observation path is
+// measured).
+func benchMachine(b *testing.B, obs Observer) *machine {
 	b.Helper()
-	cfg := Config{Scheme: SchemeCoalescing, BMTLevels: 3, Tracing: tc}
+	cfg := Config{Scheme: SchemeCoalescing, BMTLevels: 3, Observer: obs}
 	cfg.fill()
-	if tr := newTracer(cfg.Tracing); tr != nil {
-		cfg.Trace = tr.emit
-	}
 	return newMachine(cfg)
 }
 
-// BenchmarkTracingOff is the overhead budget for OFF: the per-event
-// cost of the disabled path must be a nil check — 0 allocs/op (the CI
-// tracing-overhead step asserts this).
+// BenchmarkTracingOff is the overhead budget for OFF, the nil-Observer
+// path every untraced run takes: a persist's observation epilogue must
+// cost a nil check — 0 allocs/op (the CI tracing-overhead step asserts
+// this).
 func BenchmarkTracingOff(b *testing.B) {
-	m := benchMachine(b, TraceConfig{})
+	m := benchMachine(b, nil)
+	var res Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.traceEvent("persist", sim.Cycle(i), uint64(i), 1)
+		m.retire(&res, 7, 100, 340, 340, float64(i))
 	}
 }
 
-// BenchmarkTracingModes measures the per-event cost of each enabled
-// mode through the real filter: the overhead budget table in
-// docs/MODEL.md §11 comes from these numbers.
+// BenchmarkTracingModes measures the per-persist cost of each enabled
+// mode through the real tracer: the overhead table in docs/MODEL.md
+// §11 comes from these numbers.
 func BenchmarkTracingModes(b *testing.B) {
 	sink := &countingSink{}
 	for _, tc := range []struct {
@@ -234,16 +131,16 @@ func BenchmarkTracingModes(b *testing.B) {
 	}{
 		{"system", TraceConfig{Mode: TraceSystemOnly, Sink: sink.fn}},
 		{"hybrid10", TraceConfig{Mode: TraceHybrid, SamplePercent: 10, Sink: sink.fn}},
-		{"hybrid10_adaptive", TraceConfig{Mode: TraceHybrid, SamplePercent: 10, OverheadBudget: 0.05, Sink: sink.fn}},
 		{"full", TraceConfig{Mode: TraceFull, Sink: sink.fn}},
 	} {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			m := benchMachine(b, tc.cfg)
+			m := benchMachine(b, NewTracer(tc.cfg))
+			var res Result
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.traceEvent("persist", sim.Cycle(i), uint64(i), 1)
+				m.retire(&res, 7, 100, 340, 340, float64(i))
 			}
 		})
 	}

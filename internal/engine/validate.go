@@ -42,13 +42,6 @@ func (c Config) Validate() error {
 	if c.FlushCyclesPerLine < 0 {
 		return fmt.Errorf("engine: FlushCyclesPerLine must be >= 0, got %d", c.FlushCyclesPerLine)
 	}
-	if err := c.Tracing.Validate(); err != nil {
-		return err
-	}
-	if c.Trace != nil && c.Tracing.Mode != TraceOff && c.Tracing.Sink != nil {
-		return fmt.Errorf("engine: Trace and Tracing are mutually exclusive; " +
-			"use Tracing.Mode=full for the raw stream")
-	}
 	if c.MDCWays < 1 {
 		return fmt.Errorf("engine: MDCWays must be >= 1, got %d", c.MDCWays)
 	}

@@ -162,12 +162,32 @@ func TestSweepIdenticalToLocal(t *testing.T) {
 // the sweep still complete identically.
 func TestSweepWorkerDiesMidRun(t *testing.T) {
 	c, srv := newTestCoordinator(t, nil)
-	startWorker(t, srv, nil)
-	startWorker(t, srv, nil)
+	// The healthy workers hold every unit until the dying worker has
+	// taken its second lease, so they cannot drain the sweep before the
+	// kill happens. The test deadline bounds the hold if it never does.
+	killed := make(chan struct{})
+	hold := time.Minute
+	if deadline, ok := t.Deadline(); ok {
+		hold = time.Until(deadline) / 2
+	}
+	healthy := func(next http.HandlerFunc) http.HandlerFunc {
+		return func(rw http.ResponseWriter, r *http.Request) {
+			select {
+			case <-killed:
+			case <-time.After(hold):
+			}
+			next(rw, r)
+		}
+	}
+	startWorker(t, srv, healthy)
+	startWorker(t, srv, healthy)
 	var served atomic.Int32
 	startWorker(t, srv, func(next http.HandlerFunc) http.HandlerFunc {
 		return func(rw http.ResponseWriter, r *http.Request) {
-			if served.Add(1) > 1 {
+			if n := served.Add(1); n > 1 {
+				if n == 2 {
+					close(killed)
+				}
 				conn, _, err := rw.(http.Hijacker).Hijack()
 				if err == nil {
 					conn.Close()

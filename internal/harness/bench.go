@@ -21,9 +21,9 @@ type RecordOptions struct {
 	// NoTelemetry records headline numbers only (smaller files).
 	NoTelemetry bool
 	// Observe, when non-nil, is called just before each run starts with
-	// its key and live sampler (nil when NoTelemetry). plpserve uses it
-	// to expose in-progress series; it must be safe for concurrent
-	// calls from the fan-out workers.
+	// its key and live sampler (nil when NoTelemetry). The job service
+	// uses it to expose in-progress series; it must be safe for
+	// concurrent calls from the fan-out workers.
 	Observe func(scheme engine.Scheme, bench string, s *telemetry.Sampler)
 	// Span, when non-nil, parents one "sweep-point" span per
 	// (scheme, bench) pair — each wrapping an "engine-run" child — so a

@@ -68,14 +68,11 @@ type nvmKey struct {
 }
 
 // memoKeyOf builds cfg's memo key, or ok=false when the run is not
-// memoizable: configs with observational hooks that produce side
-// effects a cache hit would silently skip (structured trace streams,
-// crash logs, debug prints, an externally owned sampler). Cancel is
-// fine — the runner just never stores a cancelled run.
+// memoizable: an observer has side effects (an event stream, a crash
+// log, an externally owned sampler) that a cache hit would silently
+// skip. Cancel is fine — the runner just never stores a cancelled run.
 func memoKeyOf(cfg engine.Config, bench string, seed uint64) (MemoKey, bool) {
-	if cfg.Trace != nil || cfg.CrashLog != nil || cfg.DebugEpochs != 0 ||
-		cfg.Tracing.Sink != nil || cfg.Tracing.Mode != engine.TraceOff ||
-		cfg.Telemetry != nil {
+	if cfg.Observer != nil {
 		return MemoKey{}, false
 	}
 	n := cfg.Normalized()

@@ -209,23 +209,13 @@ func configMutatorsHarness() map[string]func(engine.Config) engine.Config {
 			c.NVM.Banks = 4
 			return c
 		},
-		"DebugEpochs": func(c engine.Config) engine.Config { c.DebugEpochs = 1; return c },
-		"Trace": func(c engine.Config) engine.Config {
-			c.Trace = func(engine.TraceEvent) {}
+		"Observer": func(c engine.Config) engine.Config {
+			c.Observer = telemetry.NewSampler(1000, 0, nil)
 			return c
 		},
-		"Tracing": func(c engine.Config) engine.Config {
-			c.Tracing = engine.TraceConfig{Mode: engine.TraceSystemOnly}
-			return c
-		},
-		"Arena":    func(c engine.Config) engine.Config { c.Arena = engine.NewArena(); return c },
-		"CrashLog": func(c engine.Config) engine.Config { c.CrashLog = &engine.CrashLog{}; return c },
+		"Arena": func(c engine.Config) engine.Config { c.Arena = engine.NewArena(); return c },
 		"Cancel": func(c engine.Config) engine.Config {
 			c.Cancel = func() bool { return false }
-			return c
-		},
-		"Telemetry": func(c engine.Config) engine.Config {
-			c.Telemetry = telemetry.NewSampler(1000, 0, nil)
 			return c
 		},
 	}

@@ -107,7 +107,7 @@ func (r *runner) runSeries(cfg engine.Config, p trace.Profile, sampled bool, int
 		var sampler *telemetry.Sampler
 		if sampled {
 			sampler = telemetry.NewSampler(interval, 0, engine.ComponentLabels())
-			c.Telemetry = sampler
+			c.Observer = sampler
 		}
 		if observe != nil {
 			observe(sampler)

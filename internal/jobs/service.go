@@ -90,11 +90,6 @@ type Config struct {
 	// submit; the result is identical either way.
 	Fabric *fabric.Coordinator
 
-	// Observe, when non-nil, additionally receives every engine run's
-	// live sampler as it starts (plpserve's legacy live view). Called
-	// concurrently from job workers. Memoized (cache-hit) runs reuse
-	// their stored series and never reach this hook.
-	Observe func(jobID string, scheme engine.Scheme, bench string, s *telemetry.Sampler)
 	// OnFinish, when non-nil, is called after a job reaches a terminal
 	// state and has left its worker.
 	OnFinish func(*Job)
@@ -684,12 +679,7 @@ func (s *Service) runSweep(ctx context.Context, j *Job) (*registry.JobResult, er
 		Interval:    sim.Cycle(spec.Interval),
 		NoTelemetry: spec.NoTelemetry,
 		Span:        obs.SpanFromContext(ctx),
-		Observe: func(scheme engine.Scheme, bench string, smp *telemetry.Sampler) {
-			j.observe(scheme, bench, smp)
-			if s.cfg.Observe != nil {
-				s.cfg.Observe(j.id, scheme, bench, smp)
-			}
-		},
+		Observe:     j.observe,
 	}
 	runs, err := harness.RecordContext(ctx, ro)
 	if err != nil {

@@ -18,7 +18,7 @@ func testRun(t *testing.T, scheme engine.Scheme, bench string) Run {
 	}
 	sampler := telemetry.NewSampler(8192, 0, engine.ComponentLabels())
 	res := engine.Run(engine.Config{
-		Scheme: scheme, Instructions: 50_000, Telemetry: sampler,
+		Scheme: scheme, Instructions: 50_000, Observer: sampler,
 	}, prof)
 	snap := sampler.Snapshot()
 	return FromResult(res, &snap)

@@ -45,11 +45,6 @@ type Engine struct {
 	now    Cycle
 	seq    uint64
 	events eventHeap
-
-	// OnDispatch, when non-nil, observes every event dispatch (Kind
-	// "dispatch", Arg = the event's scheduling sequence number) just
-	// before the event runs. Nil means no tracing and no overhead.
-	OnDispatch TraceFn
 }
 
 // NewEngine returns an engine at cycle 0 with an empty event list.
@@ -88,9 +83,6 @@ func (e *Engine) Step() bool {
 	}
 	it := heap.Pop(&e.events).(item)
 	e.now = it.at
-	if e.OnDispatch != nil {
-		e.OnDispatch(TraceEvent{At: it.at, Kind: "dispatch", Arg: it.seq})
-	}
 	it.fn()
 	return true
 }

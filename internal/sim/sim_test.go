@@ -213,36 +213,3 @@ func TestServerLatencyAccessorAndClamp(t *testing.T) {
 		t.Fatalf("clamped initiation: d1=%d d2=%d", d1, d2)
 	}
 }
-
-func TestOnDispatchObservesEveryEvent(t *testing.T) {
-	e := NewEngine()
-	var got []TraceEvent
-	e.OnDispatch = func(ev TraceEvent) { got = append(got, ev) }
-	e.Schedule(5, func() {})
-	e.Schedule(2, func() { e.Schedule(1, func() {}) })
-	e.Run(0)
-	if len(got) != 3 {
-		t.Fatalf("dispatched %d events, want 3", len(got))
-	}
-	for i, ev := range got {
-		if ev.Kind != "dispatch" {
-			t.Fatalf("event %d kind %q", i, ev.Kind)
-		}
-		if i > 0 && ev.At < got[i-1].At {
-			t.Fatalf("dispatch times not monotone: %v", got)
-		}
-	}
-	if got[0].At != 2 || got[1].At != 3 || got[2].At != 5 {
-		t.Fatalf("dispatch times = %v", got)
-	}
-}
-
-func TestNilOnDispatchIsHarmless(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	e.Schedule(1, func() { ran = true })
-	e.Run(0)
-	if !ran {
-		t.Fatal("event did not run")
-	}
-}

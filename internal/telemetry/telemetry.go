@@ -9,25 +9,26 @@
 // directly observable instead of inferred from totals.
 //
 // The sampler holds a bounded ring of fixed-width windows over
-// simulated cycles. Producers feed it cumulative counters (a Probe)
-// at persist/epoch/stall boundaries; the sampler attributes the
-// deltas since the previous probe to the window containing the probe
-// cycle. When a run outlives the ring, adjacent windows merge and the
+// simulated cycles. It is an engine.Observer: attached as a run's
+// Config.Observer it turns every sample point (after each persist or
+// epoch flush) and the run's end into a cumulative Probe, and
+// attributes the deltas since the previous probe to the window
+// containing the probe cycle. When a run outlives the ring, adjacent windows merge and the
 // window width doubles, so the series always covers the whole run in
 // at most MaxWindows entries with bounded memory — long runs lose
 // resolution, never coverage.
 //
-// A nil sampler is the off switch: producers guard the probe build
-// with a nil check, so disabled telemetry costs zero allocations and
-// zero cycles (asserted by testing.AllocsPerRun in the engine tests).
-// An enabled sampler is safe for one producer plus any number of
-// concurrent Snapshot readers (the live plpserve endpoint reads while
-// the engine writes).
+// No sampler is the off switch: a run without an observer pays one
+// pointer check per persist and allocates nothing for telemetry. A
+// sampler is safe for one producing run plus any number of concurrent
+// Snapshot readers (a job's live status reads while the engine
+// writes).
 package telemetry
 
 import (
 	"sync"
 
+	"plp/internal/engine"
 	"plp/internal/sim"
 )
 
@@ -194,7 +195,6 @@ func NewSampler(interval sim.Cycle, maxWindows int, stallLabels []string) *Sampl
 	if len(stallLabels) > 0 {
 		s.labels = append([]string(nil), stallLabels...)
 		s.prevSt = make([]float64, len(stallLabels))
-		s.last.Stalls = s.prevSt
 	}
 	return s
 }
@@ -213,7 +213,9 @@ func (s *Sampler) Interval() sim.Cycle {
 // completion times can finish out of order relative to the core
 // clock; the core clock the engine samples at is nondecreasing, so in
 // practice this is a no-op guard).
-func (s *Sampler) Record(p Probe) {
+func (s *Sampler) Record(p Probe) { s.record(&p) }
+
+func (s *Sampler) record(p *Probe) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p.At < s.lastAt {
@@ -264,10 +266,41 @@ func (s *Sampler) Record(p Probe) {
 	}
 
 	s.lastAt = p.At
-	st := s.last.Stalls // keep the sampler-owned stall buffer
-	s.last = p
-	s.last.Stalls = st
+	s.last.Persists, s.last.Epochs = p.Persists, p.Epochs
+	s.last.NVMReads, s.last.NVMWrites = p.NVMReads, p.NVMWrites
 }
+
+// Persist is a no-op: the probe's counters carry what the series needs.
+func (s *Sampler) Persist(engine.PersistRecord) {}
+
+// Epoch is a no-op, like Persist.
+func (s *Sampler) Epoch(engine.EpochRecord) {}
+
+// Sample records the engine's sample point as one cumulative probe,
+// with the WPQ/PTT/ETT occupancy read at the probe's cycle.
+func (s *Sampler) Sample(p engine.Probe) {
+	at := p.At()
+	c := Probe{
+		At:           at,
+		WPQOccupancy: p.WPQ().InFlightAt(at),
+		Persists:     p.Persists(),
+		Epochs:       p.Epochs(),
+		NVMReads:     p.NVMReads(),
+		NVMWrites:    p.NVMWrites(),
+		Stalls:       p.Stalls(),
+	}
+	if t := p.PTT(); t != nil {
+		c.PTTOccupancy = t.InFlightAt(at)
+	}
+	if e := p.ETT(); e != nil {
+		c.ETTOccupancy = e.InFlightAt(at)
+	}
+	s.record(&c)
+}
+
+// End records the run's final probe. It carries the run totals, so the
+// window deltas sum exactly to the engine's Result counters.
+func (s *Sampler) End(p engine.Probe) { s.Sample(p) }
 
 // fold halves the ring: adjacent windows merge pairwise and the
 // window width doubles. Called with s.mu held.

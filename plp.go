@@ -15,8 +15,7 @@
 //     coalescing — driven by synthetic SPEC2006-calibrated workloads,
 //     reproducing the evaluation's tables and figures. Build a
 //     validated, cancellable run with NewSession and functional
-//     options (WithScheme, WithBenchmark, WithContext, WithTelemetry);
-//     the flat Simulate remains as a deprecated shim.
+//     options (WithScheme, WithBenchmark, WithContext, WithTelemetry).
 //
 // The cmd/plptables binary regenerates every table and figure;
 // EXPERIMENTS.md records paper-versus-measured results. The
@@ -101,16 +100,6 @@ const (
 	// security-metadata level: same-leaf persist bursts share a walk.
 	SuperMemWC = engine.SchemeSuperMemWC
 )
-
-// Simulate runs one benchmark profile under a scheme configuration.
-// It panics on an invalid configuration (unknown scheme, bad cache
-// geometry).
-//
-// Deprecated: use NewSession + Session.Run, which validate up front
-// and return errors instead of panicking, support cancellation via
-// WithContext, and stream telemetry via WithTelemetry. Simulate is
-// kept for existing callers and behaves exactly as before.
-func Simulate(cfg SimConfig, p Profile) SimResult { return engine.Run(cfg, p) }
 
 // Benchmarks returns the 15 SPEC2006-calibrated workload profiles.
 func Benchmarks() []Profile { return trace.Profiles() }

@@ -29,8 +29,12 @@ func TestFacadeSimulate(t *testing.T) {
 	if !ok {
 		t.Fatal("gamess missing")
 	}
-	r := Simulate(SimConfig{Scheme: Coalescing, Instructions: 200_000}, p)
-	if r.Cycles == 0 || r.Persists == 0 {
+	s, err := NewSession(WithProfile(p), WithScheme(Coalescing), WithInstructions(200_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run()
+	if err != nil || r.Cycles == 0 || r.Persists == 0 {
 		t.Fatalf("empty result: %+v", r)
 	}
 }

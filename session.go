@@ -33,16 +33,13 @@ func NewTelemetrySampler(intervalCycles uint64) *TelemetrySampler {
 // out of a running simulation. Tracing is observational — simulated
 // cycles are bit-identical in every mode.
 type (
-	// TracingConfig selects a trace mode, sink, HYBRID sampling rate,
-	// and optional adaptive overhead budget; attach it with WithTracing.
+	// TracingConfig selects a trace mode, sink, and HYBRID sampling
+	// rate; attach it with WithTracing.
 	TracingConfig = engine.TraceConfig
 	// TraceMode is OFF / SYSTEM-ONLY / HYBRID / FULL.
 	TraceMode = engine.TraceMode
 	// TraceEvent is one structured event delivered to the sink.
-	TraceEvent = sim.TraceEvent
-	// TraceStats reports what the tracer emitted, dropped, and shed
-	// during a run (SimResult.Trace).
-	TraceStats = engine.TraceStats
+	TraceEvent = engine.TraceEvent
 )
 
 // The tracing modes (TracingConfig.Mode).
@@ -54,11 +51,11 @@ const (
 )
 
 // Session is the configured entry point for timing simulations: build
-// one with NewSession and functional options, then Run it. Unlike the
-// flat Simulate, a Session validates its configuration up front
-// (returning errors instead of panicking deep in the engine), carries
-// an optional context whose cancellation stops the run cooperatively,
-// and can stream telemetry while running.
+// one with NewSession and functional options, then Run it. A Session
+// validates its configuration up front (returning errors instead of
+// panicking deep in the engine), carries an optional context whose
+// cancellation stops the run cooperatively, and can stream telemetry
+// and trace events while running.
 //
 //	prof, _ := plp.BenchmarkByName("gcc")
 //	s, err := plp.NewSession(
@@ -78,6 +75,8 @@ type Session struct {
 	profSet bool
 	ctx     context.Context
 	log     *slog.Logger
+	tel     *telemetry.Sampler
+	tracing TracingConfig
 
 	err error // first option error, surfaced by NewSession
 }
@@ -152,7 +151,7 @@ func WithContext(ctx context.Context) SessionOption {
 // the run's windowed time series; Snapshot it concurrently for live
 // progress.
 func WithTelemetry(t *TelemetrySampler) SessionOption {
-	return func(s *Session) { s.cfg.Telemetry = t }
+	return func(s *Session) { s.tel = t }
 }
 
 // WithLogger attaches a structured logger (e.g. obs.NewLogger's):
@@ -176,7 +175,7 @@ func WithLogger(l *slog.Logger) SessionOption {
 // tracing and keeps the engine's exact zero-overhead path). NewSession
 // validates the configuration.
 func WithTracing(tc TracingConfig) SessionOption {
-	return func(s *Session) { s.cfg.Tracing = tc }
+	return func(s *Session) { s.tracing = tc }
 }
 
 func (s *Session) fail(err error) {
@@ -202,6 +201,9 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	if err := s.cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("plp: %w", err)
 	}
+	if err := s.tracing.Validate(); err != nil {
+		return nil, fmt.Errorf("plp: %w", err)
+	}
 	return s, nil
 }
 
@@ -225,6 +227,7 @@ func (s *Session) Run() (SimResult, error) {
 		ctx := s.ctx
 		cfg.Cancel = func() bool { return ctx.Err() != nil }
 	}
+	cfg.Observer = s.observer()
 	if s.log != nil {
 		s.log.Info("run start",
 			"bench", s.prof.Name,
@@ -250,4 +253,55 @@ func (s *Session) Run() (SimResult, error) {
 		return res, err
 	}
 	return res, nil
+}
+
+// observer composes one run's observers: WithConfig's own, the
+// telemetry sampler, and a tracer — built per run, since its sampling
+// state belongs to one run. None of them costs the run anything when
+// absent.
+func (s *Session) observer() engine.Observer {
+	var all observers
+	if s.cfg.Observer != nil {
+		all = append(all, s.cfg.Observer)
+	}
+	if s.tel != nil {
+		all = append(all, s.tel)
+	}
+	if tr := engine.NewTracer(s.tracing); tr != nil {
+		all = append(all, tr)
+	}
+	switch len(all) {
+	case 0:
+		return nil
+	case 1:
+		return all[0]
+	}
+	return all
+}
+
+// observers hands every observation to each member in turn.
+type observers []engine.Observer
+
+func (o observers) Persist(r engine.PersistRecord) {
+	for _, x := range o {
+		x.Persist(r)
+	}
+}
+
+func (o observers) Epoch(r engine.EpochRecord) {
+	for _, x := range o {
+		x.Epoch(r)
+	}
+}
+
+func (o observers) Sample(p engine.Probe) {
+	for _, x := range o {
+		x.Sample(p)
+	}
+}
+
+func (o observers) End(p engine.Probe) {
+	for _, x := range o {
+		x.End(p)
+	}
 }

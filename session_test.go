@@ -11,19 +11,18 @@ import (
 	"time"
 
 	"plp"
+	"plp/internal/engine"
 )
 
-// TestSessionEquivalence pins that a Session run matches the flat
-// Simulate exactly — including when a (never-fired) cancellable
+// TestSessionEquivalence pins that a Session run matches a bare
+// engine.Run exactly — including when a (never-fired) cancellable
 // context installs the engine's cancellation hook.
 func TestSessionEquivalence(t *testing.T) {
 	prof, ok := plp.BenchmarkByName("gcc")
 	if !ok {
 		t.Fatal("gcc profile missing")
 	}
-	cfg := plp.SimConfig{Scheme: plp.Coalescing, Instructions: 100_000}
-	//lint:ignore SA1019 comparing the deprecated shim against sessions is this test's purpose
-	want := plp.Simulate(cfg, prof)
+	want := engine.Run(engine.Config{Scheme: plp.Coalescing, Instructions: 100_000}, prof)
 
 	s, err := plp.NewSession(
 		plp.WithProfile(prof),
@@ -38,7 +37,7 @@ func TestSessionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("session result differs from Simulate: cycles %d vs %d", got.Cycles, want.Cycles)
+		t.Fatalf("session result differs from engine.Run: cycles %d vs %d", got.Cycles, want.Cycles)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -57,7 +56,7 @@ func TestSessionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, want) {
-		t.Fatalf("hooked session differs from Simulate: cycles %d vs %d", res.Cycles, want.Cycles)
+		t.Fatalf("hooked session differs from engine.Run: cycles %d vs %d", res.Cycles, want.Cycles)
 	}
 }
 
@@ -189,10 +188,10 @@ func TestSessionTracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events == 0 || got.Trace.Emitted != uint64(events) {
-		t.Fatalf("FULL tracing delivered %d events, stats %+v", events, got.Trace)
+	if events == 0 || uint64(events) != got.Persists+got.Epochs {
+		t.Fatalf("FULL tracing delivered %d events for %d persists and %d epochs",
+			events, got.Persists, got.Epochs)
 	}
-	got.Trace = plp.TraceStats{}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tracing perturbed the result: cycles %d vs %d", got.Cycles, want.Cycles)
 	}
@@ -206,24 +205,41 @@ func TestSessionTracing(t *testing.T) {
 	}
 }
 
-// TestSessionTelemetry checks WithTelemetry streams the series.
+// TestSessionTelemetry checks WithTelemetry streams the series, also
+// when the session composes it with WithTracing.
 func TestSessionTelemetry(t *testing.T) {
 	sampler := plp.NewTelemetrySampler(1000)
+	var epochs uint64
 	s, err := plp.NewSession(
 		plp.WithBenchmark("gcc"),
 		plp.WithScheme(plp.Coalescing),
 		plp.WithInstructions(100_000),
 		plp.WithTelemetry(sampler),
+		plp.WithTracing(plp.TracingConfig{
+			Mode: plp.TracingSystemOnly,
+			Sink: func(plp.TraceEvent) { epochs++ },
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	res, err := s.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	snap := sampler.Snapshot()
 	if len(snap.Windows) == 0 {
 		t.Fatal("telemetry sampler collected no windows")
+	}
+	var persists uint64
+	for _, w := range snap.Windows {
+		persists += w.Persists
+	}
+	if persists != res.Persists {
+		t.Errorf("telemetry windows hold %d persists, run did %d", persists, res.Persists)
+	}
+	if epochs != res.Epochs {
+		t.Errorf("composed tracer saw %d epoch events, run did %d epochs", epochs, res.Epochs)
 	}
 }
 
