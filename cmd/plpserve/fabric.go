@@ -1,12 +1,6 @@
 package main
 
-import (
-	"fmt"
-	"net"
-	"os"
-	"os/exec"
-	"time"
-)
+import "net"
 
 // dialableAddr renders a bound listener address as something another
 // process on this machine can dial: a wildcard host (":0",
@@ -22,63 +16,4 @@ func dialableAddr(a net.Addr) string {
 		host = "127.0.0.1"
 	}
 	return net.JoinHostPort(host, port)
-}
-
-// spawnFabricWorkers forks n copies of this binary as fabric workers
-// joined to the coordinator at coordAddr — the single-binary local
-// mode that lets CI and laptops exercise the whole coordinator/worker
-// path without a deployment. Each child picks its own port (-addr
-// 127.0.0.1:0) and prints one `fabric worker pid=` line here so a
-// smoke script can SIGKILL a specific child mid-sweep. Children are
-// deliberately not restarted when they die: worker loss is the
-// re-queue/evict path the fabric exists to survive, and a test that
-// kills one should see exactly that.
-func spawnFabricWorkers(n int, coordAddr, logLevel, logFormat string) []*exec.Cmd {
-	if n <= 0 {
-		return nil
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "plpserve: -fabric-workers: %v\n", err)
-		os.Exit(1)
-	}
-	children := make([]*exec.Cmd, 0, n)
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(exe,
-			"-join", coordAddr,
-			"-addr", "127.0.0.1:0",
-			"-workers", "1",
-			"-log-level", logLevel,
-			"-log-format", logFormat,
-		)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			fmt.Fprintf(os.Stderr, "plpserve: fabric worker %d: %v\n", i, err)
-			stopFabricWorkers(children)
-			os.Exit(1)
-		}
-		fmt.Printf("plpserve: fabric worker pid=%d\n", cmd.Process.Pid)
-		children = append(children, cmd)
-	}
-	return children
-}
-
-// stopFabricWorkers terminates forked workers on shutdown: TERM first
-// (they drain like any plpserve), KILL any straggler after a grace
-// period. Children CI already killed just reap immediately.
-func stopFabricWorkers(children []*exec.Cmd) {
-	for _, cmd := range children {
-		_ = cmd.Process.Signal(os.Interrupt)
-	}
-	for _, cmd := range children {
-		done := make(chan struct{})
-		go func(c *exec.Cmd) { _ = c.Wait(); close(done) }(cmd)
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			_ = cmd.Process.Kill()
-			<-done
-		}
-	}
 }

@@ -27,9 +27,6 @@
 //	                        register|heartbeat, GET /fabric/state)
 //	-join host:port         run the worker role against a coordinator
 //	                        (serves POST /fabric/run)
-//	-fabric-workers N       (with -coordinator) fork N local worker
-//	                        processes — the single-binary mode CI and
-//	                        laptops use to exercise the whole fabric
 //
 // SIGTERM/SIGINT drain gracefully: intake stops (new submissions get
 // 503), queued and running jobs finish, then the process exits. A
@@ -39,9 +36,9 @@
 // Usage:
 //
 //	plpserve -addr :8090
-//	plpserve -sweep -instr 50000000 -benches gamess,gcc -o sweep.json
 //	curl -s localhost:8090/jobs -d '{"kind":"sweep","benches":["gcc"]}'
-//	plpserve -coordinator -fabric-workers 3
+//	plpserve -coordinator -addr :8090
+//	plpserve -join 127.0.0.1:8090 -addr 127.0.0.1:0 -workers 1   # once per worker
 //	curl -s localhost:8090/jobs -d '{"kind":"distsweep","benches":["gcc"]}'
 package main
 
@@ -63,7 +60,6 @@ import (
 	"plp/internal/jobs"
 	"plp/internal/metrics"
 	"plp/internal/obs"
-	"plp/internal/registry"
 	"plp/internal/trace"
 )
 
@@ -86,26 +82,12 @@ func main() {
 
 		coordRole = flag.Bool("coordinator", false, "run the distributed sweep fabric coordinator: distsweep jobs shard across joined workers")
 		join      = flag.String("join", "", "join the fabric coordinator at this host:port as a worker")
-		fabricN   = flag.Int("fabric-workers", 0, "(with -coordinator) fork this many local worker processes, so one binary exercises the whole fabric")
 		advertise = flag.String("advertise", "", "dial-back host:port a worker advertises to the coordinator (default: the bound -addr with a 127.0.0.1 host)")
-
-		sweep    = flag.Bool("sweep", false, "submit an initial recording sweep job on startup")
-		instr    = flag.Uint64("instr", 10_000_000, "initial sweep: instructions per benchmark run")
-		warmup   = flag.Uint64("warmup", 0, "initial sweep: warm-up instructions per run (checkpointed once per benchmark)")
-		benches  = flag.String("benches", "", "initial sweep: comma-separated benchmark subset (default all 15)")
-		schemes  = flag.String("schemes", "", "initial sweep: comma-separated scheme subset (default the six evaluated)")
-		full     = flag.Bool("full", false, "initial sweep: full-memory protection")
-		interval = flag.Uint64("interval", 0, "initial sweep: telemetry window width in cycles (0 = default)")
-		out      = flag.String("o", "", "initial sweep: also write the finished sweep to this registry file")
 	)
 	flag.Parse()
 
 	if *join != "" && *coordRole {
 		fmt.Fprintln(os.Stderr, "plpserve: -join and -coordinator are exclusive roles")
-		os.Exit(2)
-	}
-	if *fabricN > 0 && !*coordRole {
-		fmt.Fprintln(os.Stderr, "plpserve: -fabric-workers requires -coordinator")
 		os.Exit(2)
 	}
 
@@ -158,7 +140,6 @@ func main() {
 		}
 	}
 
-	var initialID string
 	api := newServerWithFabric(jobs.Config{
 		QueueDepth:     *queue,
 		Workers:        *workers,
@@ -169,46 +150,8 @@ func main() {
 		Probe:          probe,
 		Tracer:         obs.New(obsCfg),
 		Log:            logger,
-		OnFinish: func(j *jobs.Job) {
-			if j.ID() != initialID || *out == "" {
-				return
-			}
-			res := j.Result()
-			if res == nil || res.Sweep == nil {
-				fmt.Fprintf(os.Stderr, "plpserve: initial sweep %s, not writing %s\n", j.State(), *out)
-				return
-			}
-			if err := registry.Write(*out, res.Sweep); err != nil {
-				fmt.Fprintf(os.Stderr, "plpserve: %v\n", err)
-			} else {
-				fmt.Printf("plpserve: sweep written to %s\n", *out)
-			}
-		},
 	}, mkCoord)
 	svc := api.svc
-
-	if *sweep || *out != "" {
-		spec := jobs.Spec{
-			Kind:         jobs.KindSweep,
-			Instructions: *instr,
-			Warmup:       *warmup,
-			FullMemory:   *full,
-			Interval:     *interval,
-		}
-		if *benches != "" {
-			spec.Benches = strings.Split(*benches, ",")
-		}
-		if *schemes != "" {
-			spec.Schemes = strings.Split(*schemes, ",")
-		}
-		j, err := svc.Submit(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "plpserve: initial sweep: %v\n", err)
-			os.Exit(1)
-		}
-		initialID = j.ID()
-		fmt.Printf("plpserve: initial sweep submitted as job %s (%d instructions/run)\n", j.ID(), *instr)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -262,9 +205,6 @@ func main() {
 	srv := &http.Server{Handler: withDebug(api.handler())}
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Printf("plpserve: listening on %s (%d workers, queue %d)\n", bound, *workers, *queue)
-
-	children := spawnFabricWorkers(*fabricN, bound, *logLevel, *logFormat)
-	defer stopFabricWorkers(children)
 
 	select {
 	case err := <-errc:

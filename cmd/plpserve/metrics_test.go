@@ -40,7 +40,7 @@ func scrape(t *testing.T, ts *httptest.Server) string {
 // TestMetricsEndpoint is the exposition smoke: run one sweep job to
 // completion, then scrape /metrics and assert every key series the
 // service promises — job counters, per-scheme run counts, queue
-// gauges, retry counter, and the persist-latency quantiles.
+// gauges, and the persist-latency quantiles.
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, jobs.Config{Workers: 1, QueueDepth: 4})
 	_, st := postJob(t, ts,
@@ -62,7 +62,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE plp_jobs_submitted_total counter",
 		"plp_jobs_submitted_total 1",
 		"plp_jobs_rejected_total 0",
-		"plp_jobs_retries_total 0",
 		"plp_jobs_queue_depth 0",
 		"plp_jobs_queue_capacity 4",
 		"plp_runs_started_total 1",

@@ -113,8 +113,8 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	buf.ReadFrom(r.Body)
 	r.Body.Close()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("jsonl export has %d spans, want >= 2 (job + attempt)", len(lines))
+	if len(lines) != 3 {
+		t.Fatalf("jsonl export has %d spans, want 3 (job, sweep-point, engine-run)", len(lines))
 	}
 	for _, ln := range lines {
 		var sd obs.SpanData

@@ -44,15 +44,9 @@ func newServer(cfg jobs.Config) *server {
 // jobs through it.
 func newServerWithFabric(cfg jobs.Config, mkCoord func(*metrics.Registry) *fabric.Coordinator) *server {
 	m := newServerMetrics()
-	userFinish := cfg.OnFinish
-	cfg.OnFinish = func(j *jobs.Job) {
-		m.finish(j)
-		if userFinish != nil {
-			userFinish(j)
-		}
-	}
+	cfg.OnFinish = m.finish
 	if cfg.Metrics == nil {
-		// The job service adds its queue gauges and retry counter to
+		// The job service adds its queue gauges and SLO instruments to
 		// the same exposition.
 		cfg.Metrics = m.reg
 	}

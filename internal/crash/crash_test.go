@@ -54,14 +54,17 @@ func TestCampaignClean(t *testing.T) {
 }
 
 // TestCampaignCatchesEarlyRootAck validates the whole engine against
-// the flag-guarded ordering bug: with FaultEarlyRootAck on, the sp and
-// pipeline campaigns must report Invariant 2 violations, every
-// reported failure must reproduce deterministically from its (scheme,
-// trace seed, crash cycle) triple, and shrinking must converge to the
-// same minimal counterexample on repeated runs.
+// the flag-guarded ordering bug: with FaultEarlyRootAck on, the
+// campaign of every strict store-persist scheme must report Invariant
+// 2 violations, every reported failure must reproduce
+// deterministically from its (scheme, trace seed, crash cycle) triple,
+// and shrinking must converge to the same minimal counterexample on
+// repeated runs.
 func TestCampaignCatchesEarlyRootAck(t *testing.T) {
 	cfg := CampaignConfig{
-		Schemes:           []engine.Scheme{engine.SchemeSP, engine.SchemePipeline},
+		Schemes: []engine.Scheme{engine.SchemeSP, engine.SchemePipeline,
+			engine.SchemeSGXTree, engine.SchemeColocated, engine.SchemeTriadSel,
+			engine.SchemePhoenix, engine.SchemeShadow, engine.SchemeSuperMemWC},
 		Instructions:      20_000,
 		Systematic:        128,
 		Random:            32,

@@ -13,8 +13,8 @@ const cancelPollOps = 4096
 // is installed and a countdown decrement when one is. Neither branch
 // touches timing state, so a hook that never fires leaves the run
 // bit-identical to one without (pinned by the equivalence tests).
-func (m *machine) stopNow(coreTime float64) bool {
-	if m.crashed(coreTime) {
+func (m *machine) stopNow() bool {
+	if m.crashed() {
 		return true
 	}
 	if m.cfg.Cancel == nil {
@@ -38,6 +38,6 @@ func (m *machine) stopNow(coreTime float64) bool {
 // persist can complete by the crash instant: the run may stop early
 // without changing the crash-time persisted state. With CrashAt unset
 // this is a single comparison per loop iteration.
-func (m *machine) crashed(coreTime float64) bool {
-	return m.cfg.CrashAt != 0 && coreTime > float64(m.cfg.CrashAt)
+func (m *machine) crashed() bool {
+	return m.cfg.CrashAt != 0 && m.coreTime > float64(m.cfg.CrashAt)
 }

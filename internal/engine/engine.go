@@ -187,14 +187,15 @@ type Config struct {
 	// persisted state from the run's persist log (an Observer).
 	CrashAt sim.Cycle
 	// FaultEarlyRootAck is a fault-injection hook for validating the
-	// crash campaign: under the sp and pipeline schemes every 7th
-	// persist acknowledges — releases its WPQ entry and reports
-	// completion — at admission time, before its BMT root update
-	// finishes. That is precisely the ordering bug the PTT exists to
-	// prevent (Invariant 2), and a crash campaign must flag it: the
-	// persist's crash log Done runs ahead of its RootDone, so a crash
-	// between the two freezes a persisted datum whose root update never
-	// reached NVM. Never set outside tests and plpcrash's
+	// crash campaign. Under the eight strict store-persist schemes (sp,
+	// pipeline, sgxtree, colocated, triad_sel, phoenix, shadow and
+	// supermem_wc) every 7th persist acknowledges — releases its WPQ
+	// entry and reports completion — at admission time, before its BMT
+	// root update finishes. That is precisely the ordering bug the PTT
+	// exists to prevent (Invariant 2), and a crash campaign must flag
+	// it: the persist's crash log Done runs ahead of its RootDone, so a
+	// crash between the two freezes a persisted datum whose root update
+	// never reached NVM. Never set outside tests and plpcrash's
 	// -fault-early-root-ack.
 	FaultEarlyRootAck bool
 
@@ -395,6 +396,12 @@ type machine struct {
 	epochCur  uint32
 	epochOver map[addr.Block]struct{}
 
+	// coreTime is the core clock: cycles the core has spent, as a
+	// float because instruction gaps advance it at the baseline CPI.
+	// The op loop, the stalls and the epoch flush's drain advance it,
+	// and the write-back baseline's eviction callback stalls it too.
+	coreTime float64
+
 	// Cycle attribution: att accumulates per-component core cycles;
 	// segs labels the current persist's critical path (see attrib.go).
 	att       attrib
@@ -436,9 +443,6 @@ func newMachine(cfg Config) *machine {
 		mem:  nvm.New(cfg.NVM),
 		q:    wpq.New(cfg.WPQEntries),
 	}
-	if m.spec != nil {
-		m.nodePersistDepth = m.spec.depth(cfg)
-	}
 	m.ar = cfg.Arena
 	if m.ar == nil {
 		m.ar = NewArena()
@@ -465,6 +469,12 @@ func newMachine(cfg Config) *machine {
 	m.paths = m.ar.pathTable(m.topo, nPaths)
 	m.pathScratch = make([]bmt.Label, 0, cfg.BMTLevels)
 	m.levelNode = m.nodeUpdate
+	if m.spec != nil {
+		m.nodePersistDepth = m.spec.depth(cfg)
+		if m.spec.writeThrough {
+			m.levelNode = m.nodeWriteThrough
+		}
+	}
 	m.seqCost = func(lvl int, start sim.Cycle) sim.Cycle {
 		m.mark(CompSched, start)
 		idx := m.cfg.BMTLevels - lvl // leaf-first path index
@@ -763,6 +773,7 @@ func (m *machine) measure(st *opStream, bench string, ipc float64) Result {
 	}
 	m.spec.run(m, st, ipc, &res)
 
+	res.Cycles = cyc(m.coreTime)
 	res.Instructions = m.cfg.Instructions - m.cfg.Warmup
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Instructions) / float64(res.Cycles)

@@ -10,8 +10,9 @@ func ObservationAllocs(cfg Config) float64 {
 	m := newMachine(cfg)
 	var res Result
 	return testing.AllocsPerRun(100, func() {
-		m.retire(&res, 7, 100, 340, 340, 400)
+		m.coreTime = 400
+		m.retire(&res, 7, 100, 340, 340)
 		m.persisted(&res, 7, 100, 340)
-		m.epochRetired(&res, 1, 100, 340, 400)
+		m.epochRetired(&res, 1, 100, 340)
 	})
 }

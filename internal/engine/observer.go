@@ -132,13 +132,13 @@ type TraceEvent struct {
 // reports the persist and a sample point at the core's cycle to the
 // observer. With no observer this is a single pointer check beyond the
 // counters.
-func (m *machine) retire(res *Result, blk addr.Block, admit, ack, rootDone sim.Cycle, coreTime float64) {
+func (m *machine) retire(res *Result, blk addr.Block, admit, ack, rootDone sim.Cycle) {
 	seq := res.Persists
 	res.PersistLatency.Add(uint64(ack - admit))
 	res.Persists++
 	if obs := m.cfg.Observer; obs != nil {
 		obs.Persist(PersistRecord{Seq: seq, Block: blk, Admit: admit, Done: ack, RootDone: rootDone})
-		obs.Sample(Probe{cyc(coreTime), m, res})
+		obs.Sample(Probe{cyc(m.coreTime), m, res})
 	}
 }
 
@@ -156,10 +156,10 @@ func (m *machine) persisted(res *Result, blk addr.Block, admit, done sim.Cycle) 
 // epochRetired closes one epoch flush of blocks distinct lines, once
 // the core has waited for its ETT slot: it counts the epoch and
 // reports it plus a sample point at the core's cycle.
-func (m *machine) epochRetired(res *Result, blocks int, drain, done sim.Cycle, coreTime float64) {
+func (m *machine) epochRetired(res *Result, blocks int, drain, done sim.Cycle) {
 	res.Epochs++
 	if obs := m.cfg.Observer; obs != nil {
 		obs.Epoch(EpochRecord{Blocks: blocks, Drain: drain, Done: done})
-		obs.Sample(Probe{cyc(coreTime), m, res})
+		obs.Sample(Probe{cyc(m.coreTime), m, res})
 	}
 }

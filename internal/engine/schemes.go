@@ -17,11 +17,60 @@ func cyc(t float64) sim.Cycle {
 	return sim.Cycle(t)
 }
 
-func maxf(a float64, b sim.Cycle) float64 {
-	if fb := float64(b); fb > a {
-		return fb
+// runOps is the op loop every scheme shares. Each op advances the
+// core clock by its instruction gap at the baseline CPI. A load does
+// its metadata-side work, or under Config.ReadVerification its
+// verification traffic; under the write-back baseline it also looks up
+// the data hierarchy. A store that must persist — every store, under
+// the write-back baseline — goes to the scheme's store step. The loop
+// ends with the measured region, at an injected crash, or at a
+// cancellation.
+func (m *machine) runOps(st *opStream, ipc float64, store func(addr.Block)) {
+	cpi := 1 / ipc
+	writeBack := m.spec.writeBack
+	for st.progress() < m.cfg.Instructions {
+		if m.stopNow() {
+			break
+		}
+		op := st.next()
+		m.coreTime += float64(op.Gap+1) * cpi
+		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
+		if op.Kind == trace.OpLoad {
+			if m.cfg.ReadVerification {
+				m.verifyRead(op.Block, cyc(m.coreTime))
+			} else {
+				m.loadAccess(op.Block)
+				if writeBack {
+					m.data.Access(cache.Line(op.Block), false)
+				}
+			}
+			continue
+		}
+		if writeBack || m.cfg.mustPersist(op) {
+			store(op.Block)
+		}
 	}
-	return a
+}
+
+// admit opens one persist at the core's cycle: it starts the
+// critical-path record, takes a WPQ entry, and marks the wait for it.
+// It returns the grant time.
+func (m *machine) admit() sim.Cycle {
+	now := cyc(m.coreTime)
+	m.beginPersist(now)
+	grant := m.q.Admit(now)
+	m.mark(CompWPQ, grant)
+	return grant
+}
+
+// stall advances the core to the wait point until (if it is ahead of
+// the core) and charges the wait to the recorded segments.
+func (m *machine) stall(until sim.Cycle) {
+	before := m.coreTime
+	if float64(until) > before {
+		m.coreTime = float64(until)
+	}
+	m.chargeStall(before, until)
 }
 
 // The sequential schemes drive the PTT with the machine's per-run
@@ -34,22 +83,14 @@ func maxf(a float64, b sim.Cycle) float64 {
 // LLC dirty evictions are the only persists; each performs a
 // sequential leaf-to-root BMT update in the integrity engine.
 func runSecureWB(m *machine, st *opStream, ipc float64, res *Result) {
-	cpi := 1 / ipc
-	coreTime := 0.0
 	tab := ptt.New(m.cfg.BMTLevels, m.cfg.PTTEntries)
 	m.pttTab = tab
-	m.levelNode = m.nodeUpdate
-
 	m.data.OnMemWriteback = func(line cache.Line) {
 		blk := addr.Block(line)
-		m.beginPersist(cyc(coreTime))
-		grant := m.q.Admit(cyc(coreTime))
-		m.mark(CompWPQ, grant)
+		grant := m.admit()
 		// A full WPQ back-pressures the eviction, which sits on the
 		// miss fill path: the core observes the stall.
-		before := coreTime
-		coreTime = maxf(coreTime, grant)
-		m.chargeStall(before, grant)
+		m.stall(grant)
 		start := m.metaFetch(blk, grant)
 		m.curPath = m.pathOf(blk)
 		done := tab.SequentialPersist(start, m.seqCost)
@@ -57,28 +98,11 @@ func runSecureWB(m *machine, st *opStream, ipc float64, res *Result) {
 		m.q.Occupy(done)
 		res.Writebacks++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.retire(res, blk, grant, done, done, coreTime)
+		m.retire(res, blk, grant, done, done)
 	}
-
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
-			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-				m.data.Access(cache.Line(op.Block), false)
-			}
-		} else {
-			m.data.Access(cache.Line(op.Block), true)
-		}
-	}
-	res.Cycles = cyc(coreTime)
+	m.runOps(st, ipc, func(blk addr.Block) {
+		m.data.Access(cache.Line(blk), true)
+	})
 }
 
 // runUnordered models write-through persistence with Invariant 2
@@ -87,52 +111,27 @@ func runSecureWB(m *machine, st *opStream, ipc float64, res *Result) {
 // not ordered, so persists never wait on one another — only on WPQ
 // space. Crash recovery is NOT guaranteed (Table II).
 func runUnordered(m *machine, st *opStream, ipc float64, res *Result) {
-	cpi := 1 / ipc
-	coreTime := 0.0
 	// The pipelined MAC units sustain one node update per cycle, i.e.
 	// one whole path per BMTLevels cycles; with no ordering constraints
 	// that issue bandwidth is the only coupling between persists.
 	issue := sim.Resource{Initiation: sim.Cycle(m.cfg.BMTLevels)}
-
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
-			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
-		}
-		m.beginPersist(cyc(coreTime))
-		grant := m.q.Admit(cyc(coreTime))
-		m.mark(CompWPQ, grant)
-		before := coreTime
-		coreTime = maxf(coreTime, grant)
-		m.chargeStall(before, grant)
+	m.runOps(st, ipc, func(blk addr.Block) {
+		grant := m.admit()
+		m.stall(grant)
 		start, _ := issue.Acquire(grant)
-		done := m.metaFetch(op.Block, start)
-		for _, label := range m.pathOf(op.Block) {
+		done := m.metaFetch(blk, start)
+		for _, label := range m.pathOf(blk) {
 			done = m.nodeUpdate(label, done)
 		}
-		m.persistWrites(op.Block, done)
+		m.persistWrites(blk, done)
 		m.q.Occupy(done)
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.retire(res, op.Block, grant, done, done, coreTime)
-	}
-	res.Cycles = cyc(coreTime)
+		m.retire(res, blk, grant, done, done)
+	})
 }
 
 // faultAck implements Config.FaultEarlyRootAck: every 7th persist of
-// the sp and pipeline schemes acknowledges (releases its WPQ entry,
+// a strict store-persist scheme acknowledges (releases its WPQ entry,
 // unblocking the core) at WPQ admission instead of at root completion
 // — the persist's acknowledged Done runs ahead of its RootDone in the
 // crash log. With the hook off it returns done unchanged.
@@ -151,55 +150,29 @@ func (m *machine) faultAck(seq uint64, grant, done sim.Cycle) sim.Cycle {
 // persisted-node depth (the seqCost write-through), colocated sets the
 // co-location flag.
 func runSP(m *machine, st *opStream, ipc float64, res *Result) {
-	cpi := 1 / ipc
 	tab := ptt.New(m.cfg.BMTLevels, m.cfg.PTTEntries)
 	m.pttTab = tab
-	coreTime := 0.0
 	colocated := m.spec.colocated
-	m.levelNode = m.nodeUpdate
-
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
-			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
-		}
-		m.beginPersist(cyc(coreTime))
-		grant := m.q.Admit(cyc(coreTime))
-		m.mark(CompWPQ, grant)
+	m.runOps(st, ipc, func(blk addr.Block) {
+		grant := m.admit()
 		start := grant
 		if !colocated {
-			start = m.metaFetch(op.Block, grant)
+			start = m.metaFetch(blk, grant)
 		}
-		m.curPath = m.pathOf(op.Block)
+		m.curPath = m.pathOf(blk)
 		done := tab.SequentialPersist(start, m.seqCost)
 		if colocated {
 			// One co-located line carries data+counter+MAC.
-			m.mergedWrite(m.lay.DataLine(m.aliasBlock(op.Block)), done)
+			m.mergedWrite(m.lay.DataLine(m.aliasBlock(blk)), done)
 		} else {
-			m.persistWrites(op.Block, done)
+			m.persistWrites(blk, done)
 		}
 		ack := m.faultAck(res.Persists, grant, done)
 		m.q.Occupy(ack)
-		before := coreTime
-		coreTime = maxf(coreTime, ack) // strict: store blocks the core
-		m.chargeStall(before, ack)
+		m.stall(ack) // strict: store blocks the core
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.retire(res, op.Block, grant, ack, done, coreTime)
-	}
-	res.Cycles = cyc(coreTime)
+		m.retire(res, blk, grant, ack, done)
+	})
 }
 
 // runPipeline models PLP mechanism 1: strict persistency with the
@@ -207,53 +180,24 @@ func runSP(m *machine, st *opStream, ipc float64, res *Result) {
 // each root update; it stalls only when the WPQ fills (sustained
 // throughput: one persist per MAC latency).
 func runPipeline(m *machine, st *opStream, ipc float64, res *Result) {
-	cpi := 1 / ipc
-	coreTime := 0.0
 	tab := ptt.New(m.cfg.BMTLevels, m.cfg.PTTEntries)
 	m.pttTab = tab
-	m.levelNode = m.nodeUpdate
-	if m.spec.writeThrough {
-		m.levelNode = m.nodeWriteThrough
-	}
-
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
-			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
-		}
-		m.beginPersist(cyc(coreTime))
-		grant := m.q.Admit(cyc(coreTime))
-		m.mark(CompWPQ, grant)
-		start := m.metaFetch(op.Block, grant)
-		m.curPath = m.pathOf(op.Block)
+	m.runOps(st, ipc, func(blk addr.Block) {
+		grant := m.admit()
+		start := m.metaFetch(blk, grant)
+		m.curPath = m.pathOf(blk)
 		leafStart, done := tab.Persist(start, m.seqCost)
-		m.persistWrites(op.Block, done)
+		m.persistWrites(blk, done)
 		ack := m.faultAck(res.Persists, grant, done)
 		m.q.Occupy(ack)
 		// Under strict persistency the store holds the front of the
 		// persist order until it enters the pipeline's leaf stage. The
 		// walk beyond leafStart is off the core's critical path, so
 		// chargeStall clamps the recorded segments at leafStart.
-		before := coreTime
-		coreTime = maxf(coreTime, leafStart)
-		m.chargeStall(before, leafStart)
+		m.stall(leafStart)
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.retire(res, op.Block, grant, ack, done, coreTime)
-	}
-	res.Cycles = cyc(coreTime)
+		m.retire(res, blk, grant, ack, done)
+	})
 }
 
 // runEpoch models epoch persistency (PLP mechanisms 2 and 3): stores
@@ -262,8 +206,6 @@ func runPipeline(m *machine, st *opStream, ipc float64, res *Result) {
 // intra-epoch updates (and optional paired LCA coalescing), pipelined
 // across epochs by the ETT.
 func runEpoch(m *machine, st *opStream, ipc float64, res *Result) {
-	cpi := 1 / ipc
-	coreTime := 0.0
 	policy := ett.PolicyNone
 	if m.spec.coalesce {
 		policy = ett.PolicyPaired
@@ -304,9 +246,9 @@ func runEpoch(m *machine, st *opStream, ipc float64, res *Result) {
 		}
 		// The sfence drains the epoch's dirty lines through the on-chip
 		// hierarchy into the WPQ; the core observes the drain.
-		coreTime += float64(len(blocks) * m.cfg.FlushCyclesPerLine)
+		m.coreTime += float64(len(blocks) * m.cfg.FlushCyclesPerLine)
 		m.att.add(CompFlush, float64(len(blocks)*m.cfg.FlushCyclesPerLine))
-		ready := cyc(coreTime)
+		ready := cyc(m.coreTime)
 		// WPQ entries for every persist of the epoch.
 		grant := ready
 		for range blocks {
@@ -347,49 +289,29 @@ func runEpoch(m *machine, st *opStream, ipc float64, res *Result) {
 		m.beginPersist(ready)
 		m.mark(CompWPQ, grant)
 		m.mark(CompSched, admitted)
-		before := coreTime
-		coreTime = maxf(coreTime, admitted)
-		m.chargeStall(before, admitted)
-		m.epochRetired(res, len(blocks), ready, done, coreTime)
+		m.stall(admitted)
+		m.epochRetired(res, len(blocks), ready, done)
 		blocks = blocks[:0]
 		m.epochReset()
 		storesInEpoch = 0
 	}
 
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
-			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
-		}
+	m.runOps(st, ipc, func(blk addr.Block) {
 		storesInEpoch++
-		if !m.epochSeen(op.Block) {
-			blocks = append(blocks, op.Block)
+		if !m.epochSeen(blk) {
+			blocks = append(blocks, blk)
 		}
 		if storesInEpoch >= m.cfg.EpochSize {
 			flush()
 		}
-	}
-	if !m.crashed(coreTime) && !m.cancelStop {
+	})
+	if !m.crashed() && !m.cancelStop {
 		// The final partial epoch flushes only when the run completed:
 		// at a crash the buffered dirty lines are still on chip and die
 		// with the caches, and a cancelled run abandons its tail.
 		flush()
 	}
 	m.ar.epochCur = m.epochCur
-	res.Cycles = cyc(coreTime)
 	res.Epochs = sched.Epochs
 	res.BMTNodeUpdates = sched.NodeUpdates
 	res.BMTUpdatesNoCoal = sched.UpdatesNoCoal
@@ -398,28 +320,9 @@ func runEpoch(m *machine, st *opStream, ipc float64, res *Result) {
 }
 
 // The rival schemes (see PAPERS.md): directly comparable designs from
-// the surrounding literature, on the same machine model.
-
-// runTriadSel models Triad-NVM's selective tree persistence: the 2SP
-// strict-persistency discipline of runSP, with the lowest TriadLevels
-// BMT levels written through to NVM on the walk's critical path (the
-// spec's persistDepth drives seqCost). Recovery then rebuilds only the
-// volatile top of the tree.
-func runTriadSel(m *machine, st *opStream, ipc float64, res *Result) {
-	runSP(m, st, ipc, res)
-}
-
-// runPhoenix models Phoenix's persistently secure counter tree: walks
-// stay pipelined through the PTT exactly as in runPipeline, but every
-// node update is additionally written through to NVM (the spec's
-// writeThrough flag selects nodeWriteThrough as the level updater), so
-// the tree survives power loss and recovery is a root verification.
-// The writes ride the battery-backed write queue off the walk's
-// critical path — Phoenix's design point — so the cost shows up as
-// NVM write traffic and queue occupancy, not core serialization.
-func runPhoenix(m *machine, st *opStream, ipc float64, res *Result) {
-	runPipeline(m, st, ipc, res)
-}
+// the surrounding literature, on the same machine model. triad_sel
+// and phoenix need no runner of their own — they are runSP and
+// runPipeline under their spec flags (see their registrations).
 
 // runShadow models Anubis-style shadow tracking: strict persistency
 // with pipelined walks, where each persist writes a shadow-table entry
@@ -430,54 +333,28 @@ func runPhoenix(m *machine, st *opStream, ipc float64, res *Result) {
 // write traffic — the write path models bandwidth and queue occupancy,
 // not placement.
 func runShadow(m *machine, st *opStream, ipc float64, res *Result) {
-	cpi := 1 / ipc
-	coreTime := 0.0
 	tab := ptt.New(m.cfg.BMTLevels, m.cfg.PTTEntries)
 	m.pttTab = tab
-	m.levelNode = m.nodeUpdate
-
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
-			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
-		}
-		m.beginPersist(cyc(coreTime))
-		grant := m.q.Admit(cyc(coreTime))
-		m.mark(CompWPQ, grant)
+	m.runOps(st, ipc, func(blk addr.Block) {
+		grant := m.admit()
 		// The shadow entry issues at admission and drains in parallel
 		// with the walk; the persist acknowledges only once both the
 		// root update and the shadow entry are durable.
-		shadow := m.mem.Write(m.lay.DataLine(m.aliasBlock(op.Block)), grant)
-		start := m.metaFetch(op.Block, grant)
-		m.curPath = m.pathOf(op.Block)
+		shadow := m.mem.Write(m.lay.DataLine(m.aliasBlock(blk)), grant)
+		start := m.metaFetch(blk, grant)
+		m.curPath = m.pathOf(blk)
 		leafStart, root := tab.Persist(start, m.seqCost)
-		m.persistWrites(op.Block, root)
+		m.persistWrites(blk, root)
 		done := root
 		if shadow > done {
 			done = shadow
 		}
 		ack := m.faultAck(res.Persists, grant, done)
 		m.q.Occupy(ack)
-		before := coreTime
-		coreTime = maxf(coreTime, leafStart)
-		m.chargeStall(before, leafStart)
+		m.stall(leafStart)
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.retire(res, op.Block, grant, ack, root, coreTime)
-	}
-	res.Cycles = cyc(coreTime)
+		m.retire(res, blk, grant, ack, root)
+	})
 }
 
 // runSuperMemWC models SuperMem-style write coalescing at the
@@ -489,38 +366,15 @@ func runShadow(m *machine, st *opStream, ipc float64, res *Result) {
 // persist completes with its covering walk, the persisted state at any
 // crash point remains a program-order prefix (GuaranteeStrict).
 func runSuperMemWC(m *machine, st *opStream, ipc float64, res *Result) {
-	cpi := 1 / ipc
-	coreTime := 0.0
 	tab := ptt.New(m.cfg.BMTLevels, m.cfg.PTTEntries)
 	m.pttTab = tab
-	m.levelNode = m.nodeUpdate
 	var lastLeaf bmt.Label
 	var lastRootDone sim.Cycle
 	haveLast := false
-
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
-			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
-		}
-		m.beginPersist(cyc(coreTime))
-		grant := m.q.Admit(cyc(coreTime))
-		m.mark(CompWPQ, grant)
-		start := m.metaFetch(op.Block, grant)
-		m.curPath = m.pathOf(op.Block)
+	m.runOps(st, ipc, func(blk addr.Block) {
+		grant := m.admit()
+		start := m.metaFetch(blk, grant)
+		m.curPath = m.pathOf(blk)
 		leaf := m.curPath[0]
 		res.BMTUpdatesNoCoal += uint64(m.cfg.BMTLevels)
 		var leafStart, done sim.Cycle
@@ -535,12 +389,10 @@ func runSuperMemWC(m *machine, st *opStream, ipc float64, res *Result) {
 			res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
 		}
 		lastLeaf, lastRootDone, haveLast = leaf, done, true
-		m.persistWrites(op.Block, done)
-		m.q.Occupy(done)
-		before := coreTime
-		coreTime = maxf(coreTime, leafStart)
-		m.chargeStall(before, leafStart)
-		m.retire(res, op.Block, grant, done, done, coreTime)
-	}
-	res.Cycles = cyc(coreTime)
+		m.persistWrites(blk, done)
+		ack := m.faultAck(res.Persists, grant, done)
+		m.q.Occupy(ack)
+		m.stall(leafStart)
+		m.retire(res, blk, grant, ack, done)
+	})
 }

@@ -50,8 +50,13 @@ type SchemeSpec struct {
 	// recovery-time axis).
 	Recovery recovery.Model
 
-	// run is the measured-region timing loop.
+	// run is the measured-region timing loop: the scheme's set-up,
+	// then the shared op loop (machine.runOps) over its store step.
 	run func(*machine, *opStream, float64, *Result)
+	// writeBack: stores go to the write-back data hierarchy, and loads
+	// look it up there too. Every store reaches the store step, and
+	// only dirty LLC evictions persist (the secure_WB baseline).
+	writeBack bool
 	// colocated: data+counter+MAC share one NVM line, so the tuple
 	// persists with a single write and no metadata fetches (the BMT
 	// ordering obligation remains).
@@ -121,7 +126,7 @@ var _ = []*SchemeSpec{
 		Doc:       "write-back baseline; only LLC evictions persist, no persistency guarantee for the app",
 		Guarantee: GuaranteeStrict,
 		Recovery:  recovery.Model{Kind: recovery.KindRebuildFull},
-		run:       runSecureWB,
+		run:       runSecureWB, writeBack: true,
 	}),
 	register(SchemeSpec{
 		Scheme: SchemeUnordered, Core: true,
@@ -172,12 +177,17 @@ var _ = []*SchemeSpec{
 		Recovery:  recovery.Model{Kind: recovery.KindRebuildFull},
 		run:       runSP, colocated: true,
 	}),
+	// triad_sel is Triad-NVM's selective tree persistence: the 2SP
+	// strict-persistency discipline of runSP, with the lowest
+	// TriadLevels BMT levels written through to NVM on the walk's
+	// critical path (persistDepth drives seqCost). Recovery then
+	// rebuilds only the volatile top of the tree.
 	register(SchemeSpec{
-		Scheme:    SchemeTriadSel,
-		Doc:       "Triad-NVM selective persistence: the lowest TriadLevels tree levels persist inline",
-		Guarantee: GuaranteeStrict,
-		Recovery:  recovery.Model{Kind: recovery.KindRebuildTop},
-		run:       runTriadSel,
+		Scheme:       SchemeTriadSel,
+		Doc:          "Triad-NVM selective persistence: the lowest TriadLevels tree levels persist inline",
+		Guarantee:    GuaranteeStrict,
+		Recovery:     recovery.Model{Kind: recovery.KindRebuildTop},
+		run:          runSP,
 		persistDepth: func(c Config) int { return c.TriadLevels },
 		validate: func(c Config) error {
 			if c.TriadLevels < 1 || c.TriadLevels > c.BMTLevels {
@@ -187,12 +197,20 @@ var _ = []*SchemeSpec{
 			return nil
 		},
 	}),
+	// phoenix is Phoenix's persistently secure counter tree: walks stay
+	// pipelined through the PTT exactly as in runPipeline, but every
+	// node update is additionally written through to NVM (writeThrough
+	// selects nodeWriteThrough as the level updater), so the tree
+	// survives power loss and recovery is a root verification. The
+	// writes ride the battery-backed write queue off the walk's
+	// critical path — Phoenix's design point — so the cost shows up as
+	// NVM write traffic and queue occupancy, not core serialization.
 	register(SchemeSpec{
 		Scheme:    SchemePhoenix,
 		Doc:       "Phoenix persistently secure tree: every node write-through persisted, pipelined walks",
 		Guarantee: GuaranteeStrict,
 		Recovery:  recovery.Model{Kind: recovery.KindVerifyRoot},
-		run:       runPhoenix, writeThrough: true,
+		run:       runPipeline, writeThrough: true,
 	}),
 	register(SchemeSpec{
 		Scheme:    SchemeShadow,

@@ -116,7 +116,8 @@ func BenchmarkTracingOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.retire(&res, 7, 100, 340, 340, float64(i))
+		m.coreTime = float64(i)
+		m.retire(&res, 7, 100, 340, 340)
 	}
 }
 
@@ -140,7 +141,8 @@ func BenchmarkTracingModes(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.retire(&res, 7, 100, 340, 340, float64(i))
+				m.coreTime = float64(i)
+				m.retire(&res, 7, 100, 340, 340)
 			}
 		})
 	}

@@ -47,16 +47,13 @@ type Job struct {
 	submittedAt time.Time
 	startedAt   time.Time
 	finishedAt  time.Time
-	attempts    int
 	errMsg      string
 	result      *registry.JobResult
 
-	// cancelRequested latches the first Cancel; cancelCh unblocks a
-	// worker sleeping between retry attempts; attemptCancel aborts the
-	// in-flight attempt's context.
+	// cancelRequested latches the first Cancel; runCancel aborts the
+	// running job body's context.
 	cancelRequested bool
-	cancelCh        chan struct{}
-	attemptCancel   func()
+	runCancel       func()
 
 	// Live run views, in start order: one sampler per engine run the
 	// job has begun (sweep jobs with telemetry enabled), for partial
@@ -116,8 +113,7 @@ type Status struct {
 	StartedAt   string `json:"startedAt,omitempty"`
 	FinishedAt  string `json:"finishedAt,omitempty"`
 
-	Attempts int    `json:"attempts,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Error string `json:"error,omitempty"`
 
 	// TraceID correlates the job with its span tree (GET
 	// /jobs/{id}/trace) and log lines; empty when the service runs
@@ -153,7 +149,6 @@ func (j *Job) Status(withTelemetry bool) Status {
 		SubmittedAt: stamp(j.submittedAt),
 		StartedAt:   stamp(j.startedAt),
 		FinishedAt:  stamp(j.finishedAt),
-		Attempts:    j.attempts,
 		Error:       j.errMsg,
 		TotalRuns:   j.total,
 		StartedRuns: j.started,

@@ -3,7 +3,6 @@ package jobs
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -214,7 +213,7 @@ func sweepSpec() Spec {
 		Instructions: 40_000, NoTelemetry: true}
 }
 
-// TestCancelRunning cancels a job mid-attempt and expects a prompt
+// TestCancelRunning cancels a job mid-run and expects a prompt
 // canceled state.
 func TestCancelRunning(t *testing.T) {
 	s, w := newTestService(t, Config{Workers: 1})
@@ -352,129 +351,12 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
-// TestRetryTransient checks that transient failures retry with backoff
-// and eventually succeed, and the attempt count is visible.
-func TestRetryTransient(t *testing.T) {
-	s, w := newTestService(t, Config{Workers: 1, MaxAttempts: 3, Backoff: time.Millisecond})
-	var calls int
-	s.runJob = func(ctx context.Context, j *Job) (*registry.JobResult, error) {
-		calls++
-		if calls < 3 {
-			return nil, Transient(fmt.Errorf("flaky backend %d", calls))
-		}
-		return &registry.JobResult{Experiment: &registry.ExperimentResult{ID: "x", Table: "t"}}, nil
-	}
-	j, err := s.Submit(Spec{Kind: KindExperiment, Experiment: "fig8"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.wait(t, j, 10*time.Second)
-	if st := j.State(); st != StateSucceeded {
-		t.Fatalf("state %s: %s", st, j.Status(false).Error)
-	}
-	if got := j.Status(false).Attempts; got != 3 {
-		t.Fatalf("attempts = %d, want 3", got)
-	}
-}
-
-// TestRetryExhausted checks a persistently-transient failure fails
-// after MaxAttempts.
-func TestRetryExhausted(t *testing.T) {
-	s, w := newTestService(t, Config{Workers: 1, MaxAttempts: 2, Backoff: time.Millisecond})
-	var calls int
-	s.runJob = func(ctx context.Context, j *Job) (*registry.JobResult, error) {
-		calls++
-		return nil, Transient(errors.New("still down"))
-	}
-	j, err := s.Submit(Spec{Kind: KindExperiment, Experiment: "fig8"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.wait(t, j, 10*time.Second)
-	if st := j.State(); st != StateFailed {
-		t.Fatalf("state %s", st)
-	}
-	if calls != 2 {
-		t.Fatalf("ran %d attempts, want 2", calls)
-	}
-}
-
-// TestRetryDelayCapped pins the backoff arithmetic: the delay doubles
-// to MaxBackoff and stays there — no unbounded shift, no overflow into
-// a negative or years-long sleep at any attempt index.
-func TestRetryDelayCapped(t *testing.T) {
-	s, _ := newTestService(t, Config{
-		Workers: 1, Backoff: 100 * time.Millisecond, MaxBackoff: time.Second,
-	})
-	want := []struct {
-		attempt int
-		d       time.Duration
-	}{
-		{1, 100 * time.Millisecond},
-		{2, 200 * time.Millisecond},
-		{3, 400 * time.Millisecond},
-		{4, 800 * time.Millisecond},
-		{5, time.Second},
-		{6, time.Second},
-		{64, time.Second},  // the old Backoff<<63 overflowed here
-		{500, time.Second}, // and the shift count alone was UB territory
-	}
-	for _, w := range want {
-		if got := s.retryDelay(w.attempt); got != w.d {
-			t.Errorf("retryDelay(%d) = %v, want %v", w.attempt, got, w.d)
-		}
-	}
-}
-
-// TestBackoffRespectsDeadline is the fail-fast regression: a job with
-// a tight deadline and a huge configured backoff must fail the moment
-// a retry sleep cannot fit before the deadline — not sleep far past
-// the deadline first.
-func TestBackoffRespectsDeadline(t *testing.T) {
-	s, w := newTestService(t, Config{
-		Workers: 1, MaxAttempts: 3,
-		Backoff:        time.Hour,
-		MaxBackoff:     time.Hour,
-		DefaultTimeout: 100 * time.Millisecond,
-	})
-	var calls int
-	s.runJob = func(ctx context.Context, j *Job) (*registry.JobResult, error) {
-		calls++
-		return nil, Transient(errors.New("flaky backend"))
-	}
-	start := time.Now()
-	j, err := s.Submit(Spec{Kind: KindExperiment, Experiment: "fig8"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.wait(t, j, 10*time.Second)
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("job took %v: the backoff slept past the deadline", elapsed)
-	}
-	if st := j.State(); st != StateFailed {
-		t.Fatalf("state %s", st)
-	}
-	if calls != 1 {
-		t.Fatalf("ran %d attempts, want 1 (no retry fits the deadline)", calls)
-	}
-	if msg := j.Status(false).Error; !strings.Contains(msg, "retry backoff") {
-		t.Fatalf("error %q does not explain the fail-fast", msg)
-	}
-}
-
 // TestServiceMetrics checks the service instruments itself into the
-// registry it is handed: retries count, queue gauges render.
+// registry it is handed: the queue gauges render.
 func TestServiceMetrics(t *testing.T) {
 	reg := metrics.New()
-	s, w := newTestService(t, Config{
-		Workers: 1, MaxAttempts: 3, Backoff: time.Millisecond, Metrics: reg,
-	})
-	var calls int
+	s, w := newTestService(t, Config{Workers: 1, Metrics: reg})
 	s.runJob = func(ctx context.Context, j *Job) (*registry.JobResult, error) {
-		calls++
-		if calls < 3 {
-			return nil, Transient(errors.New("flaky"))
-		}
 		return &registry.JobResult{Experiment: &registry.ExperimentResult{ID: "x", Table: "t"}}, nil
 	}
 	j, err := s.Submit(Spec{Kind: KindExperiment, Experiment: "fig8"})
@@ -482,9 +364,6 @@ func TestServiceMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.wait(t, j, 10*time.Second)
-	if got := reg.Counter("plp_jobs_retries_total", "").Value(); got != 2 {
-		t.Fatalf("plp_jobs_retries_total = %d, want 2", got)
-	}
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -496,9 +375,10 @@ func TestServiceMetrics(t *testing.T) {
 	}
 }
 
-// TestNonTransientNoRetry checks ordinary failures do not retry.
+// TestNonTransientNoRetry checks a failing job runs once and fails
+// with its error.
 func TestNonTransientNoRetry(t *testing.T) {
-	s, w := newTestService(t, Config{Workers: 1, MaxAttempts: 5, Backoff: time.Millisecond})
+	s, w := newTestService(t, Config{Workers: 1})
 	var calls int
 	s.runJob = func(ctx context.Context, j *Job) (*registry.JobResult, error) {
 		calls++

@@ -15,11 +15,14 @@ import (
 )
 
 // TestJobSpanTree runs a real (small) sweep through a traced service
-// and checks the span tree has the job → attempt → sweep-point →
-// engine-run shape with the lifecycle events in order.
+// and checks the span tree has the job → sweep-point → engine-run
+// shape with the lifecycle events in order, and that the lifecycle log
+// lines carry the job and trace IDs.
 func TestJobSpanTree(t *testing.T) {
-	tr := obs.New(obs.Config{})
-	s, w := newTestService(t, Config{Workers: 1, Tracer: tr})
+	var logBuf bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&logBuf, nil))
+	tr := obs.New(obs.Config{Log: log})
+	s, w := newTestService(t, Config{Workers: 1, Tracer: tr, Log: log})
 	j, err := s.Submit(Spec{Kind: KindSweep, Benches: []string{"gamess"},
 		Schemes: []string{"pipeline", "o3"}, Instructions: 40_000, NoTelemetry: true})
 	if err != nil {
@@ -47,14 +50,10 @@ func TestJobSpanTree(t *testing.T) {
 	if want := []string{"submit", "dequeue", "finish"}; strings.Join(events, ",") != strings.Join(want, ",") {
 		t.Fatalf("root events %v, want %v", events, want)
 	}
-	if len(tree.Children) != 1 || tree.Children[0].Name != "attempt" {
-		t.Fatalf("root children: %+v", tree.Children)
+	if len(tree.Children) != 2 {
+		t.Fatalf("job has %d sweep-points, want 2", len(tree.Children))
 	}
-	attempt := tree.Children[0]
-	if len(attempt.Children) != 2 {
-		t.Fatalf("attempt has %d sweep-points, want 2", len(attempt.Children))
-	}
-	for _, sp := range attempt.Children {
+	for _, sp := range tree.Children {
 		if sp.Name != "sweep-point" || sp.Attrs["bench"] != "gamess" {
 			t.Fatalf("sweep-point span: %+v", sp)
 		}
@@ -68,6 +67,13 @@ func TestJobSpanTree(t *testing.T) {
 	// The status carries the correlating trace ID.
 	if got := j.Status(false).TraceID; got != tree.TraceID {
 		t.Fatalf("status trace ID %q, tree %q", got, tree.TraceID)
+	}
+	out := logBuf.String()
+	for _, want := range []string{"msg=submit", "msg=dequeue", "msg=finish",
+		"job=" + j.ID(), "trace=" + tree.TraceID} {
+		if !strings.Contains(out, want) {
+			t.Errorf("log output missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -94,59 +100,6 @@ func TestSubmitTracedParent(t *testing.T) {
 	tree, _ := tr.Tree(j.ID())
 	if tree.ParentSpanID != "00f067aa0ba902b7" {
 		t.Fatalf("root parent span %q", tree.ParentSpanID)
-	}
-}
-
-// TestRetryObservability drives a transient failure and checks the
-// retry leaves a root-span event, a backoff child span, and a
-// correlated log line.
-func TestRetryObservability(t *testing.T) {
-	var logBuf bytes.Buffer
-	log := slog.New(slog.NewTextHandler(&logBuf, nil))
-	tr := obs.New(obs.Config{Log: log})
-	s, w := newTestService(t, Config{
-		Workers: 1, MaxAttempts: 2, Backoff: time.Millisecond, Tracer: tr, Log: log,
-	})
-	var calls int
-	s.runJob = func(ctx context.Context, j *Job) (*registry.JobResult, error) {
-		calls++
-		if calls == 1 {
-			return nil, Transient(errors.New("backend hiccup"))
-		}
-		return &registry.JobResult{Experiment: &registry.ExperimentResult{ID: "x", Table: "t"}}, nil
-	}
-	j, err := s.Submit(Spec{Kind: KindExperiment, Experiment: "fig8"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.wait(t, j, 10*time.Second)
-
-	tree, _ := tr.Tree(j.ID())
-	var names []string
-	for _, e := range tree.Events {
-		names = append(names, e.Name)
-	}
-	if !strings.Contains(strings.Join(names, ","), "retry") {
-		t.Fatalf("root events %v missing retry", names)
-	}
-	var attempts, backoffs int
-	for _, c := range tree.Children {
-		switch c.Name {
-		case "attempt":
-			attempts++
-		case "backoff":
-			backoffs++
-		}
-	}
-	if attempts != 2 || backoffs != 1 {
-		t.Fatalf("attempts=%d backoffs=%d, want 2/1", attempts, backoffs)
-	}
-	out := logBuf.String()
-	for _, want := range []string{"msg=submit", "msg=retry", "msg=finish",
-		"job=" + j.ID(), "trace=" + tree.TraceID} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log output missing %q:\n%s", want, out)
-		}
 	}
 }
 

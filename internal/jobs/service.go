@@ -37,35 +37,25 @@ type Config struct {
 	// Options.Parallel; 0 = GOMAXPROCS). With several service workers,
 	// bounding this keeps a single wide job from starving the rest.
 	RunParallel int
-	// MaxAttempts bounds runs of a job whose failures are transient
-	// (see Transient); non-transient failures never retry. Default 3.
-	MaxAttempts int
-	// Backoff is the first retry's delay; it doubles per attempt up to
-	// MaxBackoff. Default 100ms.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (the shift can otherwise overflow
-	// into a years-long or negative sleep at high MaxAttempts).
-	// Default 5s.
-	MaxBackoff time.Duration
 	// DefaultTimeout bounds jobs that do not set Spec.TimeoutSec
 	// (0 = unbounded).
 	DefaultTimeout time.Duration
 
 	// Metrics, when non-nil, is the registry this service instruments
-	// itself into (queue depth and capacity gauges, retry counter, and
-	// the SLO instruments: queue-wait and job-duration summaries plus
-	// the shed and cancel burn counters). Each service owns its own
+	// itself into (queue depth and capacity gauges, and the SLO
+	// instruments: queue-wait and job-duration summaries plus the shed
+	// and cancel burn counters). Each service owns its own
 	// instruments — two services can share a process, each with its
 	// own registry, without collisions.
 	Metrics *metrics.Registry
 
 	// Tracer, when non-nil, records one span tree per job (job →
-	// attempt → retry/backoff → sweep-point → engine run) in its
-	// bounded store, keyed by job ID. Nil — the default — is the exact
-	// pre-tracing path: every span hook is a nil-receiver no-op.
+	// sweep-point → engine run) in its bounded store, keyed by job ID.
+	// Nil — the default — is the exact pre-tracing path: every span
+	// hook is a nil-receiver no-op.
 	Tracer *obs.Tracer
 	// Log, when non-nil, receives structured lifecycle records (submit,
-	// shed, retry, cancel, drain stragglers, finish) correlated with
+	// shed, dequeue, cancel, drain stragglers, finish) correlated with
 	// job and trace IDs. Nil logs nothing, exactly as before.
 	Log *slog.Logger
 
@@ -102,15 +92,6 @@ func (c *Config) fill() {
 	if c.Workers == 0 {
 		c.Workers = 2
 	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 3
-	}
-	if c.Backoff == 0 {
-		c.Backoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff == 0 {
-		c.MaxBackoff = 5 * time.Second
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.New() // private, unexported registry
 	}
@@ -124,30 +105,6 @@ var (
 	ErrNotFound  = errors.New("jobs: no such job")
 	ErrFinished  = errors.New("jobs: job already finished")
 )
-
-// transientError wraps an error to mark it retryable.
-type transientError struct{ err error }
-
-func (e transientError) Error() string { return e.err.Error() }
-func (e transientError) Unwrap() error { return e.err }
-
-// Transient marks err as transient: the service will retry the job
-// (with backoff) up to Config.MaxAttempts. The deterministic simulator
-// itself never fails transiently — this classifies environmental
-// failures (result archiving, future remote backends).
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientError{err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked
-// with Transient.
-func IsTransient(err error) bool {
-	var te transientError
-	return errors.As(err, &te)
-}
 
 // Service owns the queue, the worker pool, and the job index.
 type Service struct {
@@ -164,8 +121,6 @@ type Service struct {
 	// workersDone closes when every worker has exited (drain complete).
 	workersDone chan struct{}
 
-	// retries counts backoff-and-retry cycles (plp_jobs_retries_total).
-	retries *metrics.Counter
 	// shed counts queue-full rejections (plp_jobs_shed_total) — the
 	// load-shedding burn counter an SLO alert rates over time.
 	shed *metrics.Counter
@@ -208,8 +163,6 @@ func New(cfg Config) *Service {
 	cfg.Metrics.GaugeFunc("plp_jobs_queue_capacity",
 		"Bound on the submitted-but-not-started backlog.",
 		func() float64 { return float64(cfg.QueueDepth) })
-	s.retries = cfg.Metrics.Counter("plp_jobs_retries_total",
-		"Transient-failure retries (each preceded by a backoff sleep).")
 	s.shed = cfg.Metrics.Counter("plp_jobs_shed_total",
 		"Submissions shed because the queue was full (the 429 burn counter).")
 	s.canceled = cfg.Metrics.Counter("plp_jobs_canceled_total",
@@ -217,7 +170,7 @@ func New(cfg Config) *Service {
 	s.slo.queueWaitSum = cfg.Metrics.Summary("plp_jobs_queue_wait_microseconds",
 		"Time jobs spent queued before a worker picked them up.")
 	s.slo.durationSum = cfg.Metrics.Summary("plp_jobs_duration_milliseconds",
-		"Wall time from a job's first attempt to its terminal state.")
+		"Wall time from a job's start to its terminal state.")
 	go func() {
 		defer close(s.workersDone)
 		harness.Fan(cfg.Workers, cfg.Workers, func(int) {
@@ -239,8 +192,8 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 // SubmitTraced is Submit with an inbound trace context (a parsed W3C
 // traceparent header): the job's root span adopts its trace ID and
 // parents under its span, so a caller's trace continues through the
-// queue, the retries, and every engine run. A zero parent starts a
-// fresh trace (when the service has a tracer at all).
+// queue and every engine run. A zero parent starts a fresh trace (when
+// the service has a tracer at all).
 func (s *Service) SubmitTraced(spec Spec, parent obs.SpanContext) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -256,7 +209,6 @@ func (s *Service) SubmitTraced(spec Spec, parent obs.SpanContext) (*Job, error) 
 		spec:        spec,
 		state:       StateQueued,
 		submittedAt: time.Now(),
-		cancelCh:    make(chan struct{}),
 		live:        make(map[string]*telemetry.Sampler),
 		total:       spec.plannedRuns(),
 	}
@@ -375,7 +327,6 @@ func (s *Service) Cancel(id string) error {
 		return nil // already winding down
 	}
 	j.cancelRequested = true
-	close(j.cancelCh)
 	j.span.Event("cancel", obs.String("while", string(j.state)))
 	if s.cfg.Log != nil {
 		s.cfg.Log.Info("cancel", "job", j.id, "while", j.state,
@@ -390,8 +341,8 @@ func (s *Service) Cancel(id string) error {
 		j.span.End()
 		return nil
 	}
-	if j.attemptCancel != nil {
-		j.attemptCancel()
+	if j.runCancel != nil {
+		j.runCancel()
 	}
 	return nil
 }
@@ -433,7 +384,7 @@ func (s *Service) Drain(ctx context.Context) (cut []string, err error) {
 	return cut, ctx.Err()
 }
 
-// process runs one dequeued job through its attempt loop.
+// process runs one dequeued job to its terminal state.
 func (s *Service) process(j *Job) {
 	if !s.begin(j) {
 		// Cancelled while queued; already terminal.
@@ -446,44 +397,16 @@ func (s *Service) process(j *Job) {
 	if j.spec.TimeoutSec > 0 {
 		timeout = time.Duration(j.spec.TimeoutSec) * time.Second
 	}
-	// The job-level deadline: attempts each get the full timeout, but a
-	// backoff sleep that would outlive this point fails the job now
-	// instead of burning wall time it can never get back.
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for attempt := 1; ; attempt++ {
-		res, err := s.attempt(j, timeout)
-		switch {
-		case err == nil:
-			s.finish(j, StateSucceeded, res, "")
-		case j.wasCancelled():
-			s.finish(j, StateCanceled, nil, "canceled")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.finish(j, StateFailed, nil,
-				fmt.Sprintf("deadline exceeded after %v (attempt %d)", timeout, attempt))
-		case IsTransient(err) && attempt < s.cfg.MaxAttempts:
-			switch s.backoff(j, attempt, deadline) {
-			case backoffSlept:
-				s.retries.Inc()
-				j.span.Event("retry",
-					obs.Int("attempt", attempt), obs.String("error", err.Error()))
-				if s.cfg.Log != nil {
-					s.cfg.Log.Info("retry", "job", j.id, "attempt", attempt,
-						"error", err.Error(), "trace", traceIDString(j.TraceContext()))
-				}
-				continue
-			case backoffCanceled:
-				s.finish(j, StateCanceled, nil, "canceled during retry backoff")
-			case backoffPastDeadline:
-				s.finish(j, StateFailed, nil, fmt.Sprintf(
-					"deadline would pass during retry backoff (attempt %d): %v", attempt, err))
-			}
-		default:
-			s.finish(j, StateFailed, nil, err.Error())
-		}
-		break
+	res, err := s.run(j, timeout)
+	switch {
+	case err == nil:
+		s.finish(j, StateSucceeded, res, "")
+	case j.wasCancelled():
+		s.finish(j, StateCanceled, nil, "canceled")
+	case errors.Is(err, context.DeadlineExceeded):
+		s.finish(j, StateFailed, nil, fmt.Sprintf("deadline exceeded after %v", timeout))
+	default:
+		s.finish(j, StateFailed, nil, err.Error())
 	}
 	if s.cfg.OnFinish != nil {
 		s.cfg.OnFinish(j)
@@ -519,9 +442,11 @@ func (s *Service) begin(j *Job) bool {
 	return true
 }
 
-// attempt runs the job body once under a fresh per-attempt context
-// carrying the job's deadline and cancellation.
-func (s *Service) attempt(j *Job, timeout time.Duration) (res *registry.JobResult, err error) {
+// run executes the job body under a context carrying the job's
+// deadline and cancellation. The job's root span rides the context
+// into the body, where the harness hangs its per-run (sweep-point)
+// spans off it.
+func (s *Service) run(j *Job, timeout time.Duration) (res *registry.JobResult, err error) {
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	if timeout > 0 {
@@ -536,75 +461,20 @@ func (s *Service) attempt(j *Job, timeout time.Duration) (res *registry.JobResul
 		j.mu.Unlock()
 		return nil, context.Canceled
 	}
-	j.attempts++
-	j.attemptCancel = cancel
-	attempt := j.attempts
+	j.runCancel = cancel
 	j.mu.Unlock()
-	// The attempt span rides the context into the job body, where the
-	// harness hangs its per-run (sweep-point) spans off it.
-	asp := j.span.Child("attempt", obs.Int("attempt", attempt))
-	ctx = obs.ContextWithSpan(ctx, asp)
+	ctx = obs.ContextWithSpan(ctx, j.span)
 	defer func() {
 		j.mu.Lock()
-		j.attemptCancel = nil
+		j.runCancel = nil
 		j.mu.Unlock()
 		if r := recover(); r != nil {
 			// A panicking job must not take its worker down with it;
-			// surface the panic as a (non-transient) failure.
+			// surface the panic as a failure.
 			res, err = nil, fmt.Errorf("job panicked: %v\n%s", r, debug.Stack())
 		}
-		if err != nil {
-			asp.SetAttr(obs.String("error", err.Error()))
-		}
-		asp.End()
 	}()
 	return s.runJob(ctx, j)
-}
-
-type backoffOutcome int
-
-const (
-	backoffSlept backoffOutcome = iota
-	backoffCanceled
-	backoffPastDeadline
-)
-
-// retryDelay is the exponential attempt-indexed delay, capped at
-// MaxBackoff. Doubling (not shifting) with the cap checked inside the
-// loop keeps the arithmetic overflow-proof at any MaxAttempts.
-func (s *Service) retryDelay(attempt int) time.Duration {
-	d := s.cfg.Backoff
-	for i := 1; i < attempt; i++ {
-		if d >= s.cfg.MaxBackoff/2 {
-			return s.cfg.MaxBackoff
-		}
-		d *= 2
-	}
-	if d > s.cfg.MaxBackoff {
-		d = s.cfg.MaxBackoff
-	}
-	return d
-}
-
-// backoff sleeps before a retry — unless the sleep would overrun the
-// job's deadline, in which case it fails fast without sleeping.
-func (s *Service) backoff(j *Job, attempt int, deadline time.Time) backoffOutcome {
-	d := s.retryDelay(attempt)
-	if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
-		return backoffPastDeadline
-	}
-	bsp := j.span.Child("backoff",
-		obs.Int("attempt", attempt), obs.Duration("delay", d))
-	defer bsp.End()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return backoffSlept
-	case <-j.cancelCh:
-		bsp.SetAttr(obs.Bool("canceled", true))
-		return backoffCanceled
-	}
 }
 
 func (s *Service) finish(j *Job, st State, res *registry.JobResult, msg string) {

@@ -2,8 +2,8 @@
 // queue of submitted jobs (recording sweeps, reproduced experiments,
 // crash-injection campaigns) executed by a fixed worker pool, with
 // per-job cancellation and deadlines threaded into the engine's
-// cooperative stop hook, retry-with-backoff for transiently failing
-// jobs, and graceful drain for shutdown. cmd/plpserve exposes it as a
+// cooperative stop hook, and graceful drain for shutdown. A job runs
+// once: the simulator is deterministic, so a failure would only repeat. cmd/plpserve exposes it as a
 // JSON HTTP API; the queue bound is the service's load shedding — a
 // full queue rejects at submit time (HTTP 429) instead of buffering
 // without limit and falling over under a burst.

@@ -5,8 +5,7 @@ import "context"
 type ctxKey struct{}
 
 // ContextWithSpan returns ctx carrying sp, the in-process propagation
-// seam between the job service's attempt loop and the harness runs it
-// schedules. A nil span returns ctx unchanged, so the untraced path
+// seam between the job service and the harness runs a job schedules. A nil span returns ctx unchanged, so the untraced path
 // never even allocates the context wrapper.
 func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {

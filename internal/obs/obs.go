@@ -7,7 +7,7 @@
 // *Tracer starts nil *Spans, and every Span method is a no-op on a nil
 // receiver, so instrumented code reads straight-line — no "if traced"
 // branches — while the untraced path does no work. Spans wrap engine
-// runs from the outside (job → attempt → sweep-point → engine run);
+// runs from the outside (job → sweep-point → engine run);
 // they never reach inside a simulation, so simulated cycles are
 // bit-identical with tracing on or off by construction.
 //

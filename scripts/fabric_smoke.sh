@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # fabric_smoke.sh — end-to-end smoke for the distributed sweep fabric.
 #
-# Brings up one plpserve coordinator with three forked fabric workers,
-# records a single-process baseline, submits the same sweep as a
-# distsweep job, SIGKILLs one worker mid-run, and requires:
+# Brings up one plpserve coordinator and three plpserve workers joined
+# to it, records a single-process baseline, submits the same sweep as
+# a distsweep job, SIGKILLs one worker mid-run, and requires:
 #
 #   * the job still completes (requeue + evict absorbed the loss),
 #   * the merged result is identical to the single-process recording
@@ -35,13 +35,16 @@ go build -o "$PLPBENCH" ./cmd/plpbench
 "$PLPBENCH" record -o "$OUT/BENCH_single.json" -tag single \
   -benches "$BENCHES" -instr "$INSTR" -no-telemetry
 
-"$BIN" -addr 127.0.0.1:0 -coordinator -fabric-workers 3 \
-  -log-level info -log-format json >"$OUT/fabric_serve.log" 2>&1 &
+# Every process appends to the one log, so no writer truncates another.
+: >"$OUT/fabric_serve.log"
+"$BIN" -addr 127.0.0.1:0 -coordinator \
+  -log-level info -log-format json >>"$OUT/fabric_serve.log" 2>&1 &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
+WPIDS=()
+trap 'kill "$SERVE_PID" "${WPIDS[@]}" 2>/dev/null || true' EXIT
 
-# The coordinator prints its bound address first; the forked workers
-# (which share this stdout) print theirs only after that line exists.
+# The coordinator prints its bound address first; the workers (which
+# share the log) start only after that line exists.
 ADDR=
 for i in $(seq 1 50); do
   ADDR=$(sed -n 's/^plpserve: addr=//p' "$OUT/fabric_serve.log" | head -n1 || true)
@@ -51,7 +54,16 @@ done
 test -n "$ADDR" || { echo "no 'plpserve: addr=' line"; exit 1; }
 echo "coordinator: $ADDR"
 
-# All three forked workers must register.
+# Three workers, each its own process on its own port; their pids, in
+# start order, are for the mid-run SIGKILL.
+for i in 1 2 3; do
+  "$BIN" -join "$ADDR" -addr 127.0.0.1:0 -workers 1 \
+    -log-level info -log-format json >>"$OUT/fabric_serve.log" 2>&1 &
+  WPIDS+=($!)
+done
+echo "workers: ${WPIDS[*]}"
+
+# All three workers must register.
 for i in $(seq 1 100); do
   LIVE=$(curl -fsS "http://$ADDR/fabric/state" 2>/dev/null | jq '.workers | length' || echo 0)
   [ "$LIVE" = 3 ] && break
@@ -59,11 +71,6 @@ for i in $(seq 1 100); do
 done
 test "$LIVE" = 3 || { echo "only $LIVE/3 workers registered"; exit 1; }
 curl -fsS "http://$ADDR/fabric/state" | jq .
-
-# The forked worker pids, in spawn order, for the mid-run SIGKILL.
-mapfile -t WPIDS < <(sed -n 's/^plpserve: fabric worker pid=//p' "$OUT/fabric_serve.log")
-test "${#WPIDS[@]}" = 3 || { echo "expected 3 'fabric worker pid=' lines, got ${#WPIDS[@]}"; exit 1; }
-echo "workers: ${WPIDS[*]}"
 
 BENCH_JSON=$(printf '%s' "$BENCHES" | jq -R 'split(",")')
 JOB=$(curl -fsS "http://$ADDR/jobs" \
@@ -126,7 +133,10 @@ jq -e --argjson u "$UNITS" \
   '[.. | objects | select(.name == "fabric-unit")] | length >= $u' \
   "$OUT/fabric_trace.json"
 
-# Graceful shutdown: the coordinator TERMs its surviving children.
+# Graceful shutdown: the surviving workers drain, then the coordinator.
+kill -TERM "${WPIDS[1]}" "${WPIDS[2]}"
+wait "${WPIDS[1]}"
+wait "${WPIDS[2]}"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 trap - EXIT
