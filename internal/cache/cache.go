@@ -26,13 +26,11 @@ const (
 // Line is an abstract cache line identifier.
 type Line uint64
 
-// line is one way of one set.
-type way struct {
-	tag   Line
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-}
+// Way state bits, one byte per way.
+const (
+	valid uint8 = 1 << iota
+	dirty
+)
 
 // Stats aggregates cache events.
 type Stats struct {
@@ -53,14 +51,19 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(tot)
 }
 
-// Cache is a set-associative tag store.
+// Cache is a set-associative tag store. Way state is kept as three
+// parallel arrays of sets*waysPer entries, row-major by set, so a
+// lookup scans only a set's tags (an 8-way set is one 64-byte host
+// line) and victim selection scans only its flags and stamps.
 type Cache struct {
 	name     string
 	sets     int
 	waysPer  int
 	policy   Policy
 	lruClock uint64
-	data     []way // sets*waysPer, row-major
+	tags     []Line   // line held by each way; meaningful only while valid
+	lru      []uint64 // per-way use stamp; larger = more recently used
+	flags    []uint8  // per-way valid/dirty bits
 
 	// OnWriteback, if set, is invoked with each dirty line as it is
 	// evicted (write-back policy only).
@@ -101,7 +104,9 @@ func New(cfg Config) (*Cache, error) {
 		sets:    sets,
 		waysPer: cfg.Ways,
 		policy:  cfg.Policy,
-		data:    make([]way, sets*cfg.Ways),
+		tags:    make([]Line, lines),
+		lru:     make([]uint64, lines),
+		flags:   make([]uint8, lines),
 	}, nil
 }
 
@@ -129,46 +134,53 @@ func (c *Cache) Capacity() int { return c.sets * c.waysPer }
 
 func (c *Cache) setOf(l Line) int { return int(uint64(l) & uint64(c.sets-1)) }
 
-func (c *Cache) find(l Line) *way {
+// find returns the index of the way holding l, or -1. An invalid way
+// may keep a stale tag, so a tag match counts only when the way is
+// valid.
+func (c *Cache) find(l Line) int {
 	base := c.setOf(l) * c.waysPer
-	for i := 0; i < c.waysPer; i++ {
-		w := &c.data[base+i]
-		if w.valid && w.tag == l {
-			return w
+	tags := c.tags[base : base+c.waysPer]
+	flags := c.flags[base : base+len(tags)]
+	for i, t := range tags {
+		if t == l && flags[i]&valid != 0 {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// victim returns the way to fill in l's set: an invalid way if any,
-// else the LRU way.
-func (c *Cache) victim(l Line) *way {
+// victim returns the way to fill in l's set: the first invalid way in
+// index order if any, else the first way with the smallest stamp (the
+// LRU way).
+func (c *Cache) victim(l Line) int {
 	base := c.setOf(l) * c.waysPer
-	var v *way
-	for i := 0; i < c.waysPer; i++ {
-		w := &c.data[base+i]
-		if !w.valid {
-			return w
-		}
-		if v == nil || w.lru < v.lru {
-			v = w
+	for i, f := range c.flags[base : base+c.waysPer] {
+		if f&valid == 0 {
+			return base + i
 		}
 	}
-	return v
+	lru := c.lru[base : base+c.waysPer]
+	v, oldest := 0, lru[0]
+	for i, stamp := range lru {
+		if stamp < oldest {
+			v, oldest = i, stamp
+		}
+	}
+	return base + v
 }
 
-func (c *Cache) touch(w *way) {
+func (c *Cache) touch(w int) {
 	c.lruClock++
-	w.lru = c.lruClock
+	c.lru[w] = c.lruClock
 }
 
 // Contains reports whether l is present, without updating LRU or stats.
-func (c *Cache) Contains(l Line) bool { return c.find(l) != nil }
+func (c *Cache) Contains(l Line) bool { return c.find(l) >= 0 }
 
 // Dirty reports whether l is present and dirty.
 func (c *Cache) Dirty(l Line) bool {
 	w := c.find(l)
-	return w != nil && w.dirty
+	return w >= 0 && c.flags[w]&dirty != 0
 }
 
 // Access performs a read (write=false) or write (write=true) of line l,
@@ -180,11 +192,11 @@ func (c *Cache) Access(l Line, write bool) (hit bool) {
 	} else {
 		c.Stats.Reads++
 	}
-	if w := c.find(l); w != nil {
+	if w := c.find(l); w >= 0 {
 		c.Stats.Hits++
 		c.touch(w)
 		if write && c.policy == WriteBack {
-			w.dirty = true
+			c.flags[w] |= dirty
 		}
 		return true
 	}
@@ -196,25 +208,27 @@ func (c *Cache) Access(l Line, write bool) (hit bool) {
 // fill inserts l, evicting as needed.
 func (c *Cache) fill(l Line, write bool) {
 	v := c.victim(l)
-	if v.valid {
+	if f := c.flags[v]; f&valid != 0 {
 		c.Stats.Evictions++
-		if v.dirty {
+		if f&dirty != 0 {
 			c.Stats.Writebacks++
 			if c.OnWriteback != nil {
-				c.OnWriteback(v.tag)
+				c.OnWriteback(c.tags[v])
 			}
 		}
 	}
-	v.valid = true
-	v.tag = l
-	v.dirty = write && c.policy == WriteBack
+	f := valid
+	if write && c.policy == WriteBack {
+		f |= dirty
+	}
+	c.tags[v], c.flags[v] = l, f
 	c.touch(v)
 }
 
 // Insert fills l without counting an access (e.g. prefetch or fill
 // from a verification path).
 func (c *Cache) Insert(l Line) {
-	if w := c.find(l); w != nil {
+	if w := c.find(l); w >= 0 {
 		c.touch(w)
 		return
 	}
@@ -234,9 +248,9 @@ func (c *Cache) WritebackFill(l Line) {
 		}
 		return
 	}
-	if w := c.find(l); w != nil {
+	if w := c.find(l); w >= 0 {
 		c.touch(w)
-		w.dirty = true
+		c.flags[w] |= dirty
 		return
 	}
 	c.fill(l, true)
@@ -245,18 +259,17 @@ func (c *Cache) WritebackFill(l Line) {
 // CleanLine clears l's dirty bit if present (e.g. after an explicit
 // flush persisted it).
 func (c *Cache) CleanLine(l Line) {
-	if w := c.find(l); w != nil {
-		w.dirty = false
+	if w := c.find(l); w >= 0 {
+		c.flags[w] &^= dirty
 	}
 }
 
 // Invalidate removes l, returning whether it was present and dirty.
 // The dirty line is NOT delivered to OnWriteback; the caller decides.
 func (c *Cache) Invalidate(l Line) (wasDirty bool) {
-	if w := c.find(l); w != nil {
-		wasDirty = w.dirty
-		w.valid = false
-		w.dirty = false
+	if w := c.find(l); w >= 0 {
+		wasDirty = c.flags[w]&dirty != 0
+		c.flags[w] = 0
 	}
 	return wasDirty
 }
@@ -264,18 +277,16 @@ func (c *Cache) Invalidate(l Line) (wasDirty bool) {
 // FlushAll evicts every line, delivering dirty ones to OnWriteback.
 // Used to drain write-back caches at epoch or simulation end.
 func (c *Cache) FlushAll() {
-	for i := range c.data {
-		w := &c.data[i]
-		if w.valid {
+	for i, f := range c.flags {
+		if f&valid != 0 {
 			c.Stats.Evictions++
-			if w.dirty {
+			if f&dirty != 0 {
 				c.Stats.Writebacks++
 				if c.OnWriteback != nil {
-					c.OnWriteback(w.tag)
+					c.OnWriteback(c.tags[i])
 				}
 			}
-			w.valid = false
-			w.dirty = false
+			c.flags[i] = 0
 		}
 	}
 }
@@ -285,9 +296,9 @@ func (c *Cache) FlushAll() {
 // updates that will be lost.
 func (c *Cache) DirtyLines() []Line {
 	var out []Line
-	for i := range c.data {
-		if c.data[i].valid && c.data[i].dirty {
-			out = append(out, c.data[i].tag)
+	for i, f := range c.flags {
+		if f == valid|dirty {
+			out = append(out, c.tags[i])
 		}
 	}
 	return out
@@ -296,9 +307,9 @@ func (c *Cache) DirtyLines() []Line {
 // ResidentLines returns all valid lines (for tests and debugging).
 func (c *Cache) ResidentLines() []Line {
 	var out []Line
-	for i := range c.data {
-		if c.data[i].valid {
-			out = append(out, c.data[i].tag)
+	for i, f := range c.flags {
+		if f&valid != 0 {
+			out = append(out, c.tags[i])
 		}
 	}
 	return out

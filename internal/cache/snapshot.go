@@ -12,7 +12,9 @@ type Snapshot struct {
 	ways     int
 	policy   Policy
 	lruClock uint64
-	data     []way
+	tags     []Line
+	lru      []uint64
+	flags    []uint8
 	stats    Stats
 }
 
@@ -20,13 +22,13 @@ type Snapshot struct {
 // later accesses to the cache do not disturb it, and one snapshot may
 // be restored any number of times.
 func (c *Cache) Snapshot() *Snapshot {
-	s := &Snapshot{
+	return &Snapshot{
 		sets: c.sets, ways: c.waysPer, policy: c.policy,
 		lruClock: c.lruClock, stats: c.Stats,
-		data: make([]way, len(c.data)),
+		tags:  append([]Line(nil), c.tags...),
+		lru:   append([]uint64(nil), c.lru...),
+		flags: append([]uint8(nil), c.flags...),
 	}
-	copy(s.data, c.data)
-	return s
 }
 
 // Restore resets the cache to a previously captured snapshot. The
@@ -39,17 +41,17 @@ func (c *Cache) Restore(s *Snapshot) error {
 		return fmt.Errorf("cache %s: snapshot geometry %d sets x %d ways (policy %d) does not match %d sets x %d ways (policy %d)",
 			c.name, s.sets, s.ways, s.policy, c.sets, c.waysPer, c.policy)
 	}
-	copy(c.data, s.data)
+	copy(c.tags, s.tags)
+	copy(c.lru, s.lru)
+	copy(c.flags, s.flags)
 	c.lruClock = s.lruClock
 	c.Stats = s.stats
 	return nil
 }
 
-// wayBytes is the in-memory footprint of one way entry, for snapshot
-// byte accounting (tag + valid + dirty + lru, padded).
-const wayBytes = 32
-
-// Bytes returns the snapshot's approximate memory footprint.
+// Bytes returns the snapshot's approximate memory footprint: its three
+// way arrays (8-byte tag, 8-byte stamp and one flag byte per way) plus
+// a fixed allowance for the header.
 func (s *Snapshot) Bytes() uint64 {
-	return uint64(len(s.data))*wayBytes + 128
+	return uint64(len(s.tags))*8 + uint64(len(s.lru))*8 + uint64(len(s.flags)) + 128
 }

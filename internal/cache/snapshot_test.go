@@ -81,7 +81,9 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	if err := wt.Restore(snap); err == nil {
 		t.Fatal("restore across policies must fail")
 	}
-	if snap.Bytes() == 0 {
-		t.Fatal("snapshot reports zero footprint")
+	// 64 ways of an 8-byte tag, an 8-byte stamp and a flag byte, plus
+	// the header allowance.
+	if got, want := snap.Bytes(), uint64(64*17+128); got != want {
+		t.Fatalf("snapshot footprint %d bytes, want %d", got, want)
 	}
 }

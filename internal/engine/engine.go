@@ -794,9 +794,3 @@ func (m *machine) measure(st *opStream, bench string, ipc float64) Result {
 	}
 	return res
 }
-
-// mustPersist reports whether a store persists under the protection
-// mode (all stores in full-memory mode; non-stack stores otherwise).
-func (cfg Config) mustPersist(op trace.Op) bool {
-	return op.Kind == trace.OpStore && (cfg.FullMemory || !op.Stack)
-}

@@ -21,13 +21,15 @@ func cyc(t float64) sim.Cycle {
 // core clock by its instruction gap at the baseline CPI. A load does
 // its metadata-side work, or under Config.ReadVerification its
 // verification traffic; under the write-back baseline it also looks up
-// the data hierarchy. A store that must persist — every store, under
-// the write-back baseline — goes to the scheme's store step. The loop
-// ends with the measured region, at an injected crash, or at a
-// cancellation.
+// the data hierarchy. A store that must persist goes to the scheme's
+// store step: every store under the write-back baseline or in
+// full-memory mode, else every non-stack store (the paper's default
+// protection mode). The loop ends with the measured region, at an
+// injected crash, or at a cancellation.
 func (m *machine) runOps(st *opStream, ipc float64, store func(addr.Block)) {
 	cpi := 1 / ipc
 	writeBack := m.spec.writeBack
+	allStores := writeBack || m.cfg.FullMemory
 	for st.progress() < m.cfg.Instructions {
 		if m.stopNow() {
 			break
@@ -46,7 +48,7 @@ func (m *machine) runOps(st *opStream, ipc float64, store func(addr.Block)) {
 			}
 			continue
 		}
-		if writeBack || m.cfg.mustPersist(op) {
+		if allStores || !op.Stack {
 			store(op.Block)
 		}
 	}

@@ -72,18 +72,20 @@ func (h *Hierarchy) Levels() []*cache.Cache { return h.levels }
 // Access performs a demand read (write=false) or write (write=true).
 // It returns the depth at which the line hit (0 = L1), or len(levels)
 // for a memory access.
+//
+// A hit fills nothing above it. Each level's own Access fills the
+// line on a miss, so by the time a deeper level hits, every level
+// above already holds it, and nothing has touched those levels since
+// their fill: a fill's dirty victim cascades only downward, into the
+// levels below. The line therefore still carries the newest use stamp
+// of its cache. Re-inserting it there would only bump that stamp,
+// without changing any set's LRU order, hit, eviction or writeback.
 func (h *Hierarchy) Access(l cache.Line, write bool) int {
 	for depth, c := range h.levels {
 		if c.Access(l, write && depth == 0) {
-			// Hit at this depth: fill the levels above.
-			for up := depth - 1; up >= 0; up-- {
-				h.levels[up].Insert(l)
-			}
 			return depth
 		}
 	}
-	// Missed everywhere; every level has already filled the line via
-	// its own Access call.
 	h.MemReads++
 	return len(h.levels)
 }

@@ -18,13 +18,14 @@ const (
 )
 
 // Op is one memory operation of the synthetic instruction stream.
+// Block leads so the narrower fields pack behind it: 16 bytes per op.
 type Op struct {
+	// Block is the 64B block accessed.
+	Block addr.Block
 	// Gap is the number of non-memory instructions preceding this op.
 	Gap uint32
 	// Kind is the operation type.
 	Kind OpKind
-	// Block is the 64B block accessed.
-	Block addr.Block
 	// Stack marks stores to the stack segment (not persisted in the
 	// paper's default protection mode).
 	Stack bool

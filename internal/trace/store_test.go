@@ -169,3 +169,11 @@ func TestStoreEviction(t *testing.T) {
 		r.Next()
 	}
 }
+
+// TestOpSize pins the packed op layout: with Block first an op is 16
+// bytes, which sizes the engine's op buffer and every stored batch.
+func TestOpSize(t *testing.T) {
+	if opBytes != 16 {
+		t.Fatalf("trace.Op is %d bytes, want 16", opBytes)
+	}
+}

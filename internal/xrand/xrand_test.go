@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -151,24 +152,52 @@ func BenchmarkUint64(b *testing.B) {
 	}
 }
 
-// TestGeomMatchesGeometric pins that the precomputed sampler draws the
-// exact sequence the one-shot Geometric form does — same RNG
-// consumption, same values — across means including the degenerate
-// m <= 1 case (which must not consume RNG state at all).
-func TestGeomMatchesGeometric(t *testing.T) {
-	for _, m := range []float64{0.0, 0.5, 1.0, 1.001, 2, 16, 1000, 1e9} {
-		r1 := New(42)
-		r2 := New(42)
-		g := NewGeom(m)
-		for i := 0; i < 2000; i++ {
-			want := r1.Geometric(m)
-			got := g.Sample(r2)
-			if got != want {
-				t.Fatalf("m=%g draw %d: Geom.Sample=%d, Geometric=%d", m, i, got, want)
+// BenchmarkGeomSample draws at a typical profile's gap mean (~2.5),
+// where the table answers nearly every draw, and at the generator's
+// reuse-lag mean of 16.
+func BenchmarkGeomSample(b *testing.B) {
+	for _, m := range []float64{2.5, 16} {
+		b.Run(fmt.Sprint("mean=", m), func(b *testing.B) {
+			g, r := NewGeom(m), New(1)
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				sum += g.Sample(r)
 			}
-		}
-		if r1.Uint64() != r2.Uint64() {
-			t.Fatalf("m=%g: RNG states diverged after 2000 draws", m)
+			sink = sum
+		})
+	}
+}
+
+// BenchmarkNewGeom is the cost of building one sampler, table included.
+func BenchmarkNewGeom(b *testing.B) {
+	geomEnds() // the shared endpoint logs are a one-time cost
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := NewGeom(2.5 + float64(i%64)/64)
+		sink = len(g.tab)
+	}
+}
+
+var sink int
+
+// TestUint64MatchesReference pins the RNG step to the reference
+// xoshiro256** transition, written out one state update at a time.
+func TestUint64MatchesReference(t *testing.T) {
+	rotl := func(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+	r := New(42)
+	s := r.s
+	for i := 0; i < 1_000_000; i++ {
+		want := rotl(s[1]*5, 7) * 9
+		t1 := s[1] << 17
+		s[2] ^= s[0]
+		s[3] ^= s[1]
+		s[1] ^= s[2]
+		s[0] ^= s[3]
+		s[2] ^= t1
+		s[3] = rotl(s[3], 45)
+		if got := r.Uint64(); got != want || r.s != s {
+			t.Fatalf("step %d: Uint64 = %#x state %x, reference %#x state %x", i, got, r.s, want, s)
 		}
 	}
 }

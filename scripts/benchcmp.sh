@@ -1,7 +1,8 @@
 #!/bin/sh
 # Micro-benchmark comparison for the simulator hot path: the per-scheme
-# engine store loop, the BMT ancestor-path lookup, and trace-op
-# generation. With two inputs (a git ref, or two saved outputs) it
+# engine store loop, the BMT ancestor-path lookup, trace-op generation
+# and the geometric sampler under it, and the data cache and cache
+# hierarchy lookups. With two inputs (a git ref, or two saved outputs) it
 # reports the delta through benchstat when that is installed, falling
 # back to a plain side-by-side listing otherwise. Nothing here gates a
 # build — the numbers are informational, like the registry's
@@ -30,6 +31,8 @@ bench() { # bench <dir> <outfile>
 		go test -run '^$' -bench 'BenchmarkEngineStoreLoop' -benchmem -benchtime 1x -count "$COUNT" ./internal/engine
 		go test -run '^$' -bench 'BenchmarkBMTAncestorPath' -benchmem -count "$COUNT" ./internal/bmt
 		go test -run '^$' -bench 'BenchmarkTraceGen' -benchmem -count "$COUNT" ./internal/trace
+		go test -run '^$' -bench 'BenchmarkGeomSample|BenchmarkNewGeom' -benchmem -count "$COUNT" ./internal/xrand
+		go test -run '^$' -bench 'BenchmarkAccess' -benchmem -count "$COUNT" ./internal/cache ./internal/hier
 	) >"$2"
 	echo "wrote $2" >&2
 }
