@@ -1,6 +1,6 @@
 // Command plpcrash drives the crash-injection campaign engine
-// (internal/crash): it crashes the timing simulation mid-flight,
-// reconstructs what the timed model says had persisted, replays that
+// (internal/crash): it reconstructs from a timed run's persist log what
+// the timed model says had persisted at a crash cycle, replays that
 // snapshot into the functional secure memory, runs recovery, and
 // verifies Invariants 1 & 2 (plus epoch atomicity for the epoch
 // persistency schemes).
@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -127,7 +128,7 @@ func cmdRun(args []string, out, errw io.Writer) int {
 		Parallel:          *par,
 		FaultEarlyRootAck: *fault,
 	}
-	rep, err := crash.RunCampaign(cfg)
+	rep, err := crash.RunCampaign(context.Background(), cfg)
 	if err != nil {
 		fmt.Fprintf(errw, "plpcrash: %v\n", err)
 		return 2
@@ -213,27 +214,16 @@ func cmdRepro(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "plpcrash repro: -crash is required (a non-zero crash cycle)")
 		return 2
 	}
-	snap, err := crash.Take(*c)
+	v, err := crash.Verify(*c, *levels)
 	if err != nil {
 		fmt.Fprintf(errw, "plpcrash: %v\n", err)
 		return 2
 	}
-	v := crash.Check(snap, *levels)
 
 	fmt.Fprintf(out, "case       %s\n", c)
 	fmt.Fprintf(out, "guarantee  %s\n", v.Guarantee)
 	fmt.Fprintf(out, "persisted  %d tuple persists complete at the crash\n", v.Persisted)
 	fmt.Fprintf(out, "in-flight  %d lost with invariant obligations\n", v.InFlight)
-	fmt.Fprintf(out, "wpq        %d/%d entries in flight (%d admitted)\n",
-		snap.WPQ.InFlight, snap.WPQ.Capacity, snap.WPQ.Admitted)
-	if snap.PTT != nil {
-		fmt.Fprintf(out, "ptt        %d updates in flight after %d persists\n",
-			snap.PTT.InFlight, snap.PTT.Persists)
-	}
-	if snap.ETT != nil {
-		fmt.Fprintf(out, "ett        %d epochs in flight after %d (%d persists)\n",
-			snap.ETT.InFlight, snap.ETT.Epochs, snap.ETT.Persists)
-	}
 	fmt.Fprintf(out, "replayed   %d persists materialized, %d dropped with a torn epoch\n",
 		v.Materialized, v.DroppedPartial)
 	fmt.Fprintf(out, "recovery   bmtOK=%v macFailures=%d blocksChecked=%d\n",

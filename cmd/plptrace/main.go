@@ -118,11 +118,11 @@ func writeEvents(w io.Writer, scheme engine.Scheme, p trace.Profile, instr uint6
 	enc := json.NewEncoder(bw)
 	var encErr error
 	cfg := engine.Config{Scheme: scheme, Instructions: instr}
-	cfg.Observer = engine.NewTracer(engine.TraceConfig{Mode: engine.TraceFull, Sink: func(ev engine.TraceEvent) {
+	cfg.Observer = engine.NewTracer(func(ev engine.TraceEvent) {
 		if err := enc.Encode(ev); err != nil && encErr == nil {
 			encErr = err
 		}
-	}})
+	})
 	r := engine.Run(cfg, p)
 	if encErr != nil {
 		return r, fmt.Errorf("encode: %w", encErr)

@@ -1,6 +1,7 @@
 package crash
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -126,12 +127,14 @@ func (r Report) Clean() bool {
 // derived from it (systematic completion boundaries plus seeded-random
 // cycles), and each point's snapshot is extracted, materialized, and
 // verified in parallel through the harness worker pool. Deterministic:
-// the same config yields the same report.
-func RunCampaign(cfg CampaignConfig) (Report, error) {
+// the same config yields the same report. Cancelling ctx stops the
+// window runs and the point checks, and the campaign returns
+// ctx.Err().
+func RunCampaign(ctx context.Context, cfg CampaignConfig) (Report, error) {
 	cfg.fill()
 	rep := Report{CampaignConfig: cfg}
 	for _, s := range cfg.Schemes {
-		sr, err := runScheme(cfg, s)
+		sr, err := runScheme(ctx, cfg, s)
 		if err != nil {
 			return rep, err
 		}
@@ -142,7 +145,7 @@ func RunCampaign(cfg CampaignConfig) (Report, error) {
 
 // runScheme sweeps one scheme's crash points off a shared full-window
 // log.
-func runScheme(cfg CampaignConfig, scheme engine.Scheme) (SchemeReport, error) {
+func runScheme(ctx context.Context, cfg CampaignConfig, scheme engine.Scheme) (SchemeReport, error) {
 	base := Case{
 		Scheme:            scheme,
 		Bench:             cfg.Bench,
@@ -150,17 +153,20 @@ func runScheme(cfg CampaignConfig, scheme engine.Scheme) (SchemeReport, error) {
 		Instructions:      cfg.Instructions,
 		FaultEarlyRootAck: cfg.FaultEarlyRootAck,
 	}
-	log, horizon, err := runLog(base, 0)
+	log, horizon, err := runLog(ctx, base)
 	if err != nil {
 		return SchemeReport{}, err
 	}
 	points := crashPoints(log, horizon, cfg)
 	verdicts := make([]Verdict, len(points))
-	harness.Fan(len(points), cfg.Parallel, func(i int) {
+	err = harness.FanCtx(ctx, len(points), cfg.Parallel, func(i int) {
 		c := base
 		c.CrashAt = points[i]
-		verdicts[i] = Check(snapshotFromLog(c, log, horizon, false), cfg.Levels)
+		verdicts[i] = Check(snapshotFromLog(c, log, horizon), cfg.Levels)
 	})
+	if err != nil {
+		return SchemeReport{}, err
+	}
 	sr := SchemeReport{
 		Scheme:      scheme,
 		Guarantee:   GuaranteeOf(scheme),
@@ -169,7 +175,7 @@ func runScheme(cfg CampaignConfig, scheme engine.Scheme) (SchemeReport, error) {
 		Horizon:     horizon,
 		MaxInFlight: maxInFlight(log),
 	}
-	sr.Recovery, _ = engine.RecoveryEstimate(base.config(0), sr.MaxInFlight)
+	sr.Recovery, _ = engine.RecoveryEstimate(base.config(), sr.MaxInFlight)
 	for _, v := range verdicts {
 		if !v.OK() {
 			sr.Failures = append(sr.Failures, v)
@@ -255,8 +261,9 @@ func crashPoints(log *Log, horizon sim.Cycle, cfg CampaignConfig) []sim.Cycle {
 // same crash cycle — sound because traces are prefix-stable, so a
 // violation visible in a window stays visible in every longer one —
 // then the earliest persist-completion boundary within that window
-// that still fails. The returned case fails with the returned verdict;
-// an error is returned when the input case does not fail at all.
+// that still fails, filtered out of that window's one persist log. The
+// returned case fails with the returned verdict; an error is returned
+// when the input case does not fail at all.
 func Shrink(c Case, levels int) (Case, Verdict, error) {
 	v, err := Verify(c, levels)
 	if err != nil {
@@ -286,7 +293,7 @@ func Shrink(c Case, levels int) (Case, Verdict, error) {
 	// Earliest failing completion boundary. The minimal window holds
 	// few persists, so a linear scan is cheap and makes no
 	// monotonicity assumption about crash cycles.
-	log, _, err := runLog(c, 0)
+	log, horizon, err := runLog(context.TODO(), c)
 	if err != nil {
 		return c, v, err
 	}
@@ -303,16 +310,15 @@ func Shrink(c Case, levels int) (Case, Verdict, error) {
 	for _, b := range boundaries {
 		probe := c
 		probe.CrashAt = b
-		if fails(probe) {
-			c.CrashAt = b
-			break
+		if pv := Check(snapshotFromLog(probe, log, horizon), levels); !pv.OK() {
+			return probe, pv, nil
 		}
 	}
-	v, err = Verify(c, levels)
-	if err == nil && v.OK() {
-		err = fmt.Errorf("crash: shrunk case %v no longer fails (shrinker bug)", c)
+	v = Check(snapshotFromLog(c, log, horizon), levels)
+	if v.OK() {
+		return c, v, fmt.Errorf("crash: shrunk case %v no longer fails (shrinker bug)", c)
 	}
-	return c, v, err
+	return c, v, nil
 }
 
 // RegistryFile converts the report to its registry (JSON artifact)

@@ -1,10 +1,10 @@
 // Package crash is the crash-injection campaign engine: it runs any
-// scheme's timing simulation to an injected crash cycle, reconstructs
-// exactly what the timed model says had persisted at that instant
-// (completed tuple persists — in-flight WPQ entries and outstanding
-// PTT/ETT tree updates are lost), materializes that snapshot into the
-// functional secure memory (internal/core), runs recovery, and
-// verifies the paper's invariants:
+// scheme's timing simulation over an instruction window with a persist
+// log attached, reconstructs from that log exactly what the timed
+// model says had persisted at a crash cycle (completed tuple persists —
+// in-flight WPQ entries and outstanding PTT/ETT tree updates are
+// lost), materializes that snapshot into the functional secure memory
+// (internal/core), runs recovery, and verifies the paper's invariants:
 //
 //   - Invariant 1: every persisted datum recovers with its complete
 //     (C, γ, M, R) memory tuple — recovery is clean and each block
@@ -22,14 +22,12 @@
 package crash
 
 import (
+	"context"
 	"fmt"
 
 	"plp/internal/engine"
-	"plp/internal/ett"
-	"plp/internal/ptt"
 	"plp/internal/sim"
 	"plp/internal/trace"
-	"plp/internal/wpq"
 )
 
 // Case identifies one crash experiment deterministically: re-running
@@ -84,11 +82,10 @@ func (c Case) Seed() uint64 {
 }
 
 // config builds the engine configuration of the case's timed run.
-func (c Case) config(crashAt sim.Cycle) engine.Config {
+func (c Case) config() engine.Config {
 	return engine.Config{
 		Scheme:            c.Scheme,
 		Instructions:      c.Instructions,
-		CrashAt:           crashAt,
 		FaultEarlyRootAck: c.FaultEarlyRootAck,
 	}
 }
@@ -96,23 +93,14 @@ func (c Case) config(crashAt sim.Cycle) engine.Config {
 // Log is a run's persist log, the engine observer the campaign
 // reconstructs crash-time state from: every persist the run schedules
 // (program order, block, epoch, WPQ admission, acknowledgement and
-// root completion cycles) plus the WPQ/PTT/ETT occupancy snapshots at
-// the crash cycle, or at the run's final cycle when it is not crashed.
-// Recording never feeds back into the timing model, so results are
-// bit-identical with or without a log attached.
+// root completion cycles). A crash at cycle C keeps exactly the
+// records whose persists completed by C, so one log of the whole
+// window answers every crash point. Recording never feeds back into
+// the timing model, so results are bit-identical with or without a log
+// attached. The zero Log is ready to use.
 type Log struct {
 	Records []engine.PersistRecord `json:"records"`
-
-	WPQ wpq.Snapshot  `json:"wpq"`
-	PTT *ptt.Snapshot `json:"ptt,omitempty"`
-	ETT *ett.Snapshot `json:"ett,omitempty"`
-
-	crashAt sim.Cycle
 }
-
-// NewLog returns an empty log for a run crashed at crashAt (0: run to
-// completion).
-func NewLog(crashAt sim.Cycle) *Log { return &Log{crashAt: crashAt} }
 
 // Persist appends one persist record.
 func (l *Log) Persist(r engine.PersistRecord) { l.Records = append(l.Records, r) }
@@ -120,25 +108,11 @@ func (l *Log) Persist(r engine.PersistRecord) { l.Records = append(l.Records, r)
 // Epoch is a no-op: epoch membership travels on each persist record.
 func (l *Log) Epoch(engine.EpochRecord) {}
 
-// Sample is a no-op: the log snapshots the hardware once, at End.
+// Sample is a no-op: crash state comes from the records alone.
 func (l *Log) Sample(engine.Probe) {}
 
-// End takes the hardware occupancy snapshots.
-func (l *Log) End(p engine.Probe) {
-	at := l.crashAt
-	if at == 0 {
-		at = p.At()
-	}
-	l.WPQ = p.WPQ().SnapshotAt(at)
-	if t := p.PTT(); t != nil {
-		s := t.SnapshotAt(at)
-		l.PTT = &s
-	}
-	if e := p.ETT(); e != nil {
-		s := e.SnapshotAt(at)
-		l.ETT = &s
-	}
-}
+// End is a no-op.
+func (l *Log) End(engine.Probe) {}
 
 // Guarantee is the recoverability contract a scheme promises, which
 // determines what the campaign verifies at a crash point. The type
@@ -179,32 +153,19 @@ func GuaranteeOf(s engine.Scheme) Guarantee {
 // were admitted but incomplete while a younger persist (strict) or a
 // younger epoch's persist (epoch) had already completed. Records
 // admitted after every persisted one are simply never-issued work and
-// carry no invariant obligation, so they are not listed; this also
-// makes snapshots identical whether extracted from a dedicated
-// crash-stopped run or filtered out of a longer shared-window log.
+// carry no invariant obligation, so they are not listed.
 type Snapshot struct {
 	Case Case `json:"case"`
-	// Horizon is the last cycle the timed run simulated (the crash
-	// cycle for a dedicated run, the window end for a shared log).
+	// Horizon is the last cycle of the timed window the log covers.
 	// Reporting only: verdicts never depend on it.
 	Horizon   sim.Cycle              `json:"horizon"`
 	Persisted []engine.PersistRecord `json:"persisted"`
 	InFlight  []engine.PersistRecord `json:"inFlight"`
-
-	// Hardware occupancy at the crash instant, from the engine's
-	// snapshot API. Only dedicated runs (Take) fill these; campaign
-	// snapshots extracted from a shared log leave them nil/zero.
-	// Reporting only.
-	WPQ wpq.Snapshot  `json:"wpq,omitempty"`
-	PTT *ptt.Snapshot `json:"ptt,omitempty"`
-	ETT *ett.Snapshot `json:"ett,omitempty"`
 }
 
 // snapshotFromLog extracts the crash-time persisted state at
-// c.CrashAt from a run's crash log. hw copies the log's hardware
-// occupancy snapshots (valid only when the log came from a run
-// crash-stopped at this very cycle).
-func snapshotFromLog(c Case, log *Log, horizon sim.Cycle, hw bool) Snapshot {
+// c.CrashAt from the persist log of the case's window.
+func snapshotFromLog(c Case, log *Log, horizon sim.Cycle) Snapshot {
 	snap := Snapshot{Case: c, Horizon: horizon}
 	at := c.CrashAt
 	var maxSeq, maxEpoch uint64
@@ -225,36 +186,36 @@ func snapshotFromLog(c Case, log *Log, horizon sim.Cycle, hw bool) Snapshot {
 			}
 		}
 	}
-	if hw {
-		snap.WPQ = log.WPQ
-		snap.PTT = log.PTT
-		snap.ETT = log.ETT
-	}
 	return snap
 }
 
-// Take runs the case's timed simulation to its crash cycle and
-// returns the persisted-state snapshot, including the hardware
-// occupancy at the crash instant. Deterministic: equal cases yield
+// Take runs the case's timed window and returns the persisted-state
+// snapshot at its crash cycle. Deterministic: equal cases yield
 // byte-identical snapshots.
 func Take(c Case) (Snapshot, error) {
-	log, horizon, err := runLog(c, c.CrashAt)
+	log, horizon, err := runLog(context.TODO(), c)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	return snapshotFromLog(c, log, horizon, true), nil
+	return snapshotFromLog(c, log, horizon), nil
 }
 
-// runLog executes the case's timed run with a crash log attached.
-func runLog(c Case, crashAt sim.Cycle) (*Log, sim.Cycle, error) {
+// runLog executes the case's whole timed window with a persist log
+// attached; its crash cycle plays no part. Cancelling ctx stops the run
+// cooperatively (engine Config.Cancel) and returns ctx.Err().
+func runLog(ctx context.Context, c Case) (*Log, sim.Cycle, error) {
 	p, err := c.profile()
 	if err != nil {
 		return nil, 0, err
 	}
-	log := NewLog(crashAt)
-	cfg := c.config(crashAt)
+	log := &Log{}
+	cfg := c.config()
 	cfg.Observer = log
+	cfg.Cancel = func() bool { return ctx.Err() != nil }
 	res := engine.Run(cfg, p)
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
 	return log, res.Cycles, nil
 }
 
@@ -375,8 +336,8 @@ func checkOrder(snap Snapshot, g Guarantee) []string {
 	return out
 }
 
-// Verify runs the case end to end: timed run to the crash cycle,
-// snapshot, materialization, recovery, invariant checks.
+// Verify runs the case end to end: timed window, snapshot at the crash
+// cycle, materialization, recovery, invariant checks.
 func Verify(c Case, levels int) (Verdict, error) {
 	snap, err := Take(c)
 	if err != nil {

@@ -2,6 +2,7 @@ package crash
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -23,7 +24,7 @@ func TestCampaignClean(t *testing.T) {
 		cfg = CampaignConfig{Systematic: 448, Random: 560}
 		minPoints = 512
 	}
-	rep, err := RunCampaign(cfg)
+	rep, err := RunCampaign(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestCampaignCatchesEarlyRootAck(t *testing.T) {
 		Random:            32,
 		FaultEarlyRootAck: true,
 	}
-	rep, err := RunCampaign(cfg)
+	rep, err := RunCampaign(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +84,8 @@ func TestCampaignCatchesEarlyRootAck(t *testing.T) {
 		t.Logf("%s: %d/%d points fail; first: %s", s.Scheme, len(s.Failures), s.Points, f.Case)
 
 		// The repro triple alone must reproduce the exact verdict the
-		// campaign recorded (the campaign extracts snapshots from a
-		// shared full-window log; the repro runs a dedicated
-		// crash-stopped simulation).
+		// campaign recorded (the repro re-runs the case's window on its
+		// own and filters its log at the crash cycle).
 		v, err := Verify(f.Case, cfg.Levels)
 		if err != nil {
 			t.Fatalf("%s: repro: %v", s.Scheme, err)
@@ -124,7 +124,7 @@ func TestCampaignCatchesEarlyRootAck(t *testing.T) {
 // updates genuinely complete out of order.
 func TestNegativeControlUnordered(t *testing.T) {
 	base := Case{Scheme: engine.SchemeUnordered, Bench: "gcc", Instructions: 20_000}
-	log, horizon, err := runLog(base, 0)
+	log, horizon, err := runLog(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestNegativeControlUnordered(t *testing.T) {
 	for _, r := range log.Records {
 		c := base
 		c.CrashAt = r.Done
-		snap := snapshotFromLog(c, log, horizon, false)
+		snap := snapshotFromLog(c, log, horizon)
 		if len(snap.InFlight) == 0 {
 			continue
 		}
@@ -154,8 +154,7 @@ func TestNegativeControlUnordered(t *testing.T) {
 }
 
 // TestSnapshotDeterminism pins the repro contract end to end: equal
-// cases yield byte-identical snapshots (records and hardware
-// occupancy) across independent dedicated runs.
+// cases yield byte-identical snapshots across independent runs.
 func TestSnapshotDeterminism(t *testing.T) {
 	for _, scheme := range []engine.Scheme{engine.SchemePipeline, engine.SchemeO3} {
 		c := Case{Scheme: scheme, Bench: "gcc", Instructions: 20_000, CrashAt: 15_000}
@@ -178,39 +177,11 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
-// TestCampaignVsReproAgreement pins that the campaign's shared-log
-// snapshot extraction and a dedicated crash-stopped run agree verdict
-// for verdict on clean points too, not just failing ones.
-func TestCampaignVsReproAgreement(t *testing.T) {
-	base := Case{Scheme: engine.SchemePipeline, Bench: "gcc", Instructions: 20_000}
-	log, horizon, err := runLog(base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := crashPoints(log, horizon, CampaignConfig{Systematic: 8, Random: 4, Seed: 1})
-	if len(points) == 0 {
-		t.Fatal("no crash points derived")
-	}
-	for _, at := range points {
-		c := base
-		c.CrashAt = at
-		fromLog := Check(snapshotFromLog(c, log, horizon, false), 0)
-		dedicated, err := Verify(c, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fromLog, dedicated) {
-			t.Errorf("crash at %d: campaign and repro verdicts differ\nlog:       %+v\ndedicated: %+v",
-				at, fromLog, dedicated)
-		}
-	}
-}
-
 // TestReportRegistryRoundTrip pins the JSON artifact: a campaign
 // report survives the registry write/load cycle with its repro triples
 // intact.
 func TestReportRegistryRoundTrip(t *testing.T) {
-	rep, err := RunCampaign(CampaignConfig{
+	rep, err := RunCampaign(context.Background(), CampaignConfig{
 		Schemes:           []engine.Scheme{engine.SchemePipeline},
 		Instructions:      10_000,
 		Systematic:        16,

@@ -14,24 +14,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestCrashLogGolden pins the persist log — every record plus the
-// crash-instant WPQ/PTT/ETT snapshots — byte for byte for a strict and
-// an epoch scheme, each crashed at half its cycles (gamess, 20k
+// TestCrashLogGolden pins the persist log of a whole window — every
+// record — byte for byte for a strict and an epoch scheme (gamess, 20k
 // instructions).
 func TestCrashLogGolden(t *testing.T) {
 	p, _ := trace.ProfileByName("gamess")
 	for _, s := range []engine.Scheme{engine.SchemePipeline, engine.SchemeO3} {
-		cfg := engine.Config{Scheme: s, Instructions: 20_000}
-		cfg.CrashAt = engine.Run(cfg, p).Cycles / 2
-		log := NewLog(cfg.CrashAt)
-		cfg.Observer = log
-		engine.Run(cfg, p)
+		log := &Log{}
+		engine.Run(engine.Config{Scheme: s, Instructions: 20_000, Observer: log}, p)
 		got, err := json.MarshalIndent(log, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, '\n')
-		golden := filepath.Join("testdata", "crashlog_"+string(s)+"_gamess_20k_half.golden")
+		golden := filepath.Join("testdata", "crashlog_"+string(s)+"_gamess_20k.golden")
 		if *update {
 			if err := os.WriteFile(golden, got, 0o644); err != nil {
 				t.Fatal(err)
@@ -48,19 +44,19 @@ func TestCrashLogGolden(t *testing.T) {
 }
 
 // TestCrashLogDeterminism pins the crash campaign's repro contract on
-// every scheme: the same (scheme, trace seed, crash cycle) triple
-// yields a byte-identical persist log across repeated runs and across
-// arena-backed engines.
+// every scheme: the same (scheme, trace seed, window) yields a
+// byte-identical persist log across repeated runs and across
+// arena-backed engines, so every crash point filtered out of it
+// reproduces too.
 func TestCrashLogDeterminism(t *testing.T) {
 	p, _ := trace.ProfileByName("gcc")
 	ar := engine.NewArena()
 	for _, s := range engine.AllSchemes() {
 		cfg := engine.Config{Scheme: s, Instructions: 30_000}
-		cfg.CrashAt = engine.Run(cfg, p).Cycles / 2
 		var logs [3][]byte
 		for i := range logs {
 			c := cfg
-			log := NewLog(c.CrashAt)
+			log := &Log{}
 			c.Observer = log
 			if i == 2 {
 				c.Arena = ar // arena-backed engine must not leak into the log
@@ -74,7 +70,7 @@ func TestCrashLogDeterminism(t *testing.T) {
 		}
 		for i := 1; i < len(logs); i++ {
 			if !bytes.Equal(logs[0], logs[i]) {
-				t.Errorf("%s: crash log %d differs from run 0 at crash cycle %d", s, i, cfg.CrashAt)
+				t.Errorf("%s: crash log %d differs from run 0", s, i)
 			}
 		}
 	}

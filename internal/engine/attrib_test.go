@@ -138,14 +138,14 @@ func TestTraceHookObservesPersists(t *testing.T) {
 	}
 	var persists, epochs uint64
 	cfg := Config{Scheme: SchemeO3, Instructions: testInstr}
-	cfg.Observer = NewTracer(TraceConfig{Mode: TraceFull, Sink: func(ev TraceEvent) {
+	cfg.Observer = NewTracer(func(ev TraceEvent) {
 		switch ev.Kind {
 		case "persist":
 			persists++
 		case "epoch":
 			epochs++
 		}
-	}})
+	})
 	r := Run(cfg, p)
 	if persists != r.Persists {
 		t.Fatalf("trace saw %d persists, result has %d", persists, r.Persists)
@@ -157,5 +157,8 @@ func TestTraceHookObservesPersists(t *testing.T) {
 	base := Run(Config{Scheme: SchemeO3, Instructions: testInstr}, p)
 	if base.Cycles != r.Cycles {
 		t.Fatalf("trace hook perturbed timing: %d vs %d", r.Cycles, base.Cycles)
+	}
+	if NewTracer(nil) != nil {
+		t.Fatal("a nil sink built a tracer; it must be the nil observer")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"plp/internal/sim"
 	"plp/internal/trace"
 )
 
@@ -31,12 +30,11 @@ type digestRow struct {
 }
 
 // digestConfigs is the config matrix of one (scheme, bench) pair:
-// every switch that steers the op loop or a store step, plus the two
-// ways a run stops early. The default row comes first; the crash row's
-// CrashAt is filled in from it (power fails halfway through). At the
-// default 4 MB LLC no bench evicts a dirty line within digestInstr, so
-// the llc256 row is the one that drives secure_WB's write-back
-// persists (and their WPQ stalls).
+// every switch that steers the op loop or a store step, plus a
+// cancellation that stops the run early. The default row comes first.
+// At the default 4 MB LLC no bench evicts a dirty line within
+// digestInstr, so the llc256 row is the one that drives secure_WB's
+// write-back persists (and their WPQ stalls).
 func digestConfigs(s Scheme) []digestRow {
 	with := func(f func(*Config)) Config {
 		c := Config{Scheme: s, Instructions: digestInstr}
@@ -51,7 +49,6 @@ func digestConfigs(s Scheme) []digestRow {
 		{"warmup", with(func(c *Config) { c.Warmup = 40_000 })},
 		{"idealmdc", with(func(c *Config) { c.IdealMDC = true })},
 		{"faultack", with(func(c *Config) { c.FaultEarlyRootAck = true })},
-		{"crash", with(func(*Config) {})},
 		{"wpq4-bmt5", with(func(c *Config) { c.WPQEntries = 4; c.BMTLevels = 5 })},
 		{"cancel", with(func(c *Config) { c.Cancel = func() bool { polls++; return polls >= 2 } })},
 		{"llc256", with(func(c *Config) { c.LLCKB = 256 })},
@@ -86,13 +83,12 @@ func (d *digestObserver) probe(tag byte, p Probe) {
 }
 
 // digestLines runs the whole matrix: every scheme × bench × config as
-// a Result digest, then every scheme on gamess and gcc — uncrashed,
-// crashed, and with the small LLC — as an Observer-call digest.
+// a Result digest, then every scheme on gamess and gcc — at the default
+// config and with the small LLC — as an Observer-call digest.
 func digestLines(t *testing.T) []string {
 	t.Helper()
 	ar := NewArena()
 	var lines []string
-	defCycles := map[string]sim.Cycle{}
 	for _, s := range AllSchemes() {
 		for _, bench := range digestBenches {
 			p, ok := trace.ProfileByName(bench)
@@ -103,15 +99,11 @@ func digestLines(t *testing.T) []string {
 			for _, row := range digestConfigs(s) {
 				cfg := row.cfg
 				cfg.Arena = ar
-				if row.name == "crash" {
-					cfg.CrashAt = def.Cycles / 2
-				}
 				r := Run(cfg, p)
 				switch row.name {
 				case "default":
 					def = r
-					defCycles[string(s)+"/"+bench] = r.Cycles
-				case "crash", "cancel":
+				case "cancel":
 					if r.Cycles >= def.Cycles {
 						t.Fatalf("%s/%s/%s: run did not stop early (%d cycles, default %d)",
 							s, bench, row.name, r.Cycles, def.Cycles)
@@ -124,13 +116,11 @@ func digestLines(t *testing.T) []string {
 	for _, s := range AllSchemes() {
 		for _, bench := range []string{"gamess", "gcc"} {
 			p, _ := trace.ProfileByName(bench)
-			for _, name := range []string{"nocrash", "crash", "llc256"} {
+			// "nocrash" is the default config; the golden pins the name.
+			for _, name := range []string{"nocrash", "llc256"} {
 				obs := &digestObserver{h: sha256.New()}
 				cfg := Config{Scheme: s, Instructions: digestInstr, Observer: obs, Arena: ar}
-				switch name {
-				case "crash":
-					cfg.CrashAt = defCycles[string(s)+"/"+bench] / 2
-				case "llc256":
+				if name == "llc256" {
 					cfg.LLCKB = 256
 				}
 				Run(cfg, p)
@@ -143,8 +133,8 @@ func digestLines(t *testing.T) []string {
 }
 
 // TestGoldenDigests pins the engine's whole output, not just the
-// headline counters TestGoldenCycles checks: the full Result of 360
-// config rows and every Observer call of 72 runs. A refactor of the
+// headline counters TestGoldenCycles checks: the full Result of 324
+// config rows and every Observer call of 48 runs. A refactor of the
 // op loop or a store step must leave every line untouched.
 func TestGoldenDigests(t *testing.T) {
 	got := digestLines(t)

@@ -70,7 +70,6 @@ var fieldStages = map[string]Stage{
 	"ReadVerification":   StageMeasure,
 	"FullMemory":         StageMeasure,
 	"FlushCyclesPerLine": StageMeasure,
-	"CrashAt":            StageMeasure, // truncates the measured region
 	"FaultEarlyRootAck":  StageMeasure,
 	"NVM":                StageMeasure,
 

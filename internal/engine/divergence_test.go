@@ -92,11 +92,10 @@ func configMutators(t *testing.T) map[string]func(Config) Config {
 		"ReadVerification":   func(c Config) Config { c.ReadVerification = true; return c },
 		"FullMemory":         func(c Config) Config { c.FullMemory = true; return c },
 		"FlushCyclesPerLine": func(c Config) Config { c.FlushCyclesPerLine = 8; return c },
-		"CrashAt":            func(c Config) Config { c.CrashAt = 1_000_000; return c },
 		"FaultEarlyRootAck":  func(c Config) Config { c.FaultEarlyRootAck = true; return c },
 		"NVM":                func(c Config) Config { c.NVM = nvm.Config{Banks: 4}; return c },
 		"Observer": func(c Config) Config {
-			c.Observer = NewTracer(TraceConfig{Mode: TraceFull, Sink: func(TraceEvent) {}})
+			c.Observer = NewTracer(func(TraceEvent) {})
 			return c
 		},
 		"Arena":  func(c Config) Config { c.Arena = NewArena(); return c },

@@ -178,14 +178,6 @@ type Config struct {
 	// the context error instead.
 	Cancel func() bool
 
-	// CrashAt, when non-zero, injects a power loss at the given cycle:
-	// the run stops as soon as the core clock passes it, since no
-	// persist admitted afterwards can complete by the crash instant.
-	// Timing up to the stop is untouched — with CrashAt zero the
-	// engine behaves bit-identically to a build without the hook
-	// (golden-pinned). internal/crash reconstructs the crash-time
-	// persisted state from the run's persist log (an Observer).
-	CrashAt sim.Cycle
 	// FaultEarlyRootAck is a fault-injection hook for validating the
 	// crash campaign. Under the eight strict store-persist schemes (sp,
 	// pipeline, sgxtree, colocated, triad_sel, phoenix, shadow and

@@ -17,8 +17,8 @@ import (
 // nil Observer costs one pointer check per persist.
 //
 // The implementations: the telemetry sampler (telemetry.Sampler), the
-// crash campaign's persist log (crash.Log), and the mode-filtered event
-// stream (NewTracer). An observer belongs to one run at a time.
+// crash campaign's persist log (crash.Log), and the event stream
+// (NewTracer). An observer belongs to one run at a time.
 type Observer interface {
 	// Persist reports one tuple persist, in program persist order.
 	Persist(PersistRecord)
@@ -77,8 +77,8 @@ func (r EpochRecord) event() TraceEvent {
 // Probe is a read-only view of the machine at a sample point, valid
 // only during the Observer call that receives it. Counters are running
 // totals since the start of the measured region; the hardware handles
-// answer occupancy and snapshot queries at any cycle (InFlightAt,
-// SnapshotAt) and must not be modified.
+// answer occupancy queries at any cycle (InFlightAt) and must not be
+// modified.
 type Probe struct {
 	at  sim.Cycle
 	m   *machine

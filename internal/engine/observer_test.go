@@ -17,22 +17,16 @@ import (
 // unobserved run takes, must add no allocation to a persist.
 func TestObserversAreObservational(t *testing.T) {
 	p, _ := trace.ProfileByName("gcc")
-	sink := func(engine.TraceEvent) {}
-	tracer := func(mode engine.TraceMode) func() engine.Observer {
-		return func() engine.Observer { return engine.NewTracer(engine.TraceConfig{Mode: mode, Sink: sink}) }
-	}
 	observers := []struct {
 		name string
 		make func() engine.Observer // nil: the nil observer
 	}{
 		{"nil", nil},
-		{"trace-system", tracer(engine.TraceSystemOnly)},
-		{"trace-hybrid", tracer(engine.TraceHybrid)},
-		{"trace-full", tracer(engine.TraceFull)},
+		{"tracer", func() engine.Observer { return engine.NewTracer(func(engine.TraceEvent) {}) }},
 		{"telemetry", func() engine.Observer {
 			return telemetry.NewSampler(4096, 0, engine.ComponentLabels())
 		}},
-		{"crash-log", func() engine.Observer { return crash.NewLog(0) }},
+		{"crash-log", func() engine.Observer { return &crash.Log{} }},
 	}
 	ar := engine.NewArena()
 	for _, s := range engine.AllSchemes() {

@@ -24,8 +24,8 @@ func cyc(t float64) sim.Cycle {
 // the data hierarchy. A store that must persist goes to the scheme's
 // store step: every store under the write-back baseline or in
 // full-memory mode, else every non-stack store (the paper's default
-// protection mode). The loop ends with the measured region, at an
-// injected crash, or at a cancellation.
+// protection mode). The loop ends with the measured region or at a
+// cancellation.
 func (m *machine) runOps(st *opStream, ipc float64, store func(addr.Block)) {
 	cpi := 1 / ipc
 	writeBack := m.spec.writeBack
@@ -307,10 +307,9 @@ func runEpoch(m *machine, st *opStream, ipc float64, res *Result) {
 			flush()
 		}
 	})
-	if !m.crashed() && !m.cancelStop {
+	if !m.cancelStop {
 		// The final partial epoch flushes only when the run completed:
-		// at a crash the buffered dirty lines are still on chip and die
-		// with the caches, and a cancelled run abandons its tail.
+		// a cancelled run abandons its tail.
 		flush()
 	}
 	m.ar.epochCur = m.epochCur

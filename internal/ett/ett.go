@@ -246,30 +246,6 @@ func (s *Scheduler) InFlightAt(at sim.Cycle) int {
 	return n
 }
 
-// Snapshot is the scheduler state a crash at a given cycle would
-// freeze: the epoch/persist counts, the slots whose epochs were still
-// completing at the snapshot cycle, and the per-level gate frontier
-// (LevelGate[l-1] is when the last scheduled epoch's level-l updates
-// complete; values beyond the snapshot cycle are in-flight updates
-// lost to the crash).
-type Snapshot struct {
-	Epochs    uint64      `json:"epochs"`
-	Persists  uint64      `json:"persists"`
-	InFlight  int         `json:"inFlight"`
-	LevelGate []sim.Cycle `json:"levelGate"`
-}
-
-// SnapshotAt captures the scheduler state as of the given cycle. It
-// does not mutate the scheduler.
-func (s *Scheduler) SnapshotAt(at sim.Cycle) Snapshot {
-	return Snapshot{
-		Epochs:    s.Epochs,
-		Persists:  s.Persists,
-		InFlight:  s.InFlightAt(at),
-		LevelGate: append([]sim.Cycle(nil), s.levelGate...),
-	}
-}
-
 // UnionNodeCount returns the number of distinct BMT nodes on the
 // update paths of the given leaves — the node-update count of ideal
 // (chained) coalescing, where every shared suffix is updated once.

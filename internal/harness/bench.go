@@ -20,10 +20,12 @@ type RecordOptions struct {
 	Interval sim.Cycle
 	// NoTelemetry records headline numbers only (smaller files).
 	NoTelemetry bool
-	// Observe, when non-nil, is called just before each run starts with
-	// its key and live sampler (nil when NoTelemetry). The job service
-	// uses it to expose in-progress series; it must be safe for
-	// concurrent calls from the fan-out workers.
+	// Observe, when non-nil, is called once per run with its key: just
+	// before a cold run starts, with its live sampler (nil when
+	// NoTelemetry), or after a memo hit served the run, with nil. The
+	// job service uses it to count progress and expose in-progress
+	// series; it must be safe for concurrent calls from the fan-out
+	// workers.
 	Observe func(scheme engine.Scheme, bench string, s *telemetry.Sampler)
 	// Span, when non-nil, parents one "sweep-point" span per
 	// (scheme, bench) pair — each wrapping an "engine-run" child — so a
@@ -73,8 +75,6 @@ func RecordContext(ctx context.Context, o RecordOptions) ([]registry.Run, error)
 			cfg := r.cfg(s)
 			var observe func(*telemetry.Sampler)
 			if o.Observe != nil {
-				// Only cold runs have a live sampler; a memo hit reuses
-				// the stored series and never reaches this hook.
 				observe = func(sampler *telemetry.Sampler) { o.Observe(s, p.Name, sampler) }
 			}
 			var psp *obs.Span

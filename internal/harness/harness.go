@@ -190,15 +190,17 @@ func TableV(o Options) *Experiment {
 	r := newRunner(o)
 	profs := r.o.profiles()
 	rows := make([][]float64, len(profs))
+	// Each column fixes its own memory mode, whatever Options.FullMemory.
+	cfg := func(s engine.Scheme, full bool) engine.Config {
+		c := r.cfg(s)
+		c.FullMemory = full
+		return c
+	}
 	r.parallel(profs, func(i int, p trace.Profile) {
-		spFull := r.run(engine.Config{Scheme: engine.SchemeSP,
-			Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: true, Cancel: r.o.Cancel}, p)
-		wbFull := r.run(engine.Config{Scheme: engine.SchemeSecureWB,
-			Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: true, Cancel: r.o.Cancel}, p)
-		sp := r.run(engine.Config{Scheme: engine.SchemeSP,
-			Instructions: r.o.Instructions, Warmup: r.o.Warmup, Cancel: r.o.Cancel}, p)
-		o3 := r.run(engine.Config{Scheme: engine.SchemeO3,
-			Instructions: r.o.Instructions, Warmup: r.o.Warmup, Cancel: r.o.Cancel}, p)
+		spFull := r.run(cfg(engine.SchemeSP, true), p)
+		wbFull := r.run(cfg(engine.SchemeSecureWB, true), p)
+		sp := r.run(cfg(engine.SchemeSP, false), p)
+		o3 := r.run(cfg(engine.SchemeO3, false), p)
 		rows[i] = []float64{spFull.PPKI, p.Paper.SpFull, wbFull.PPKI, p.Paper.WBFull,
 			sp.PPKI, p.Paper.Sp, o3.PPKI, p.Paper.O3}
 	})
@@ -437,9 +439,9 @@ func LLCSweep(o Options) *Experiment {
 	r.parallel(profs, func(i int, p trace.Profile) {
 		row := make([]float64, len(sizes))
 		for c, s := range sizes {
-			base := r.run(engine.Config{Scheme: engine.SchemeSecureWB,
-				Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: r.o.FullMemory,
-				LLCKB: s, Cancel: r.o.Cancel}, p)
+			bcfg := r.cfg(engine.SchemeSecureWB)
+			bcfg.LLCKB = s
+			base := r.run(bcfg, p)
 			cfg := r.cfg(engine.SchemeCoalescing)
 			cfg.LLCKB = s
 			res := r.run(cfg, p)

@@ -53,7 +53,6 @@ type memoCfg struct {
 	ReadVerification   bool
 	FullMemory         bool
 	FlushCyclesPerLine int
-	CrashAt            sim.Cycle
 	FaultEarlyRootAck  bool
 	NVM                nvmKey
 }
@@ -101,7 +100,6 @@ func memoKeyOf(cfg engine.Config, bench string, seed uint64) (MemoKey, bool) {
 			ReadVerification:   n.ReadVerification,
 			FullMemory:         n.FullMemory,
 			FlushCyclesPerLine: n.FlushCyclesPerLine,
-			CrashAt:            n.CrashAt,
 			FaultEarlyRootAck:  n.FaultEarlyRootAck,
 			NVM: nvmKey{
 				CyclesPerNS: n.NVM.CyclesPerNS,

@@ -203,7 +203,6 @@ func configMutatorsHarness() map[string]func(engine.Config) engine.Config {
 		"ReadVerification":   func(c engine.Config) engine.Config { c.ReadVerification = true; return c },
 		"FullMemory":         func(c engine.Config) engine.Config { c.FullMemory = true; return c },
 		"FlushCyclesPerLine": func(c engine.Config) engine.Config { c.FlushCyclesPerLine = 8; return c },
-		"CrashAt":            func(c engine.Config) engine.Config { c.CrashAt = 1_000_000; return c },
 		"FaultEarlyRootAck":  func(c engine.Config) engine.Config { c.FaultEarlyRootAck = true; return c },
 		"NVM": func(c engine.Config) engine.Config {
 			c.NVM.Banks = 4

@@ -35,13 +35,14 @@ func NVMSweep(o Options) *Experiment {
 	r.parallel(profs, func(i int, p trace.Profile) {
 		row := make([]float64, 0, len(nvmPoints)*2)
 		for _, pt := range nvmPoints {
-			ncfg := nvm.Config{ReadNS: pt.readNS, WriteNS: pt.writeNS}
-			base := r.run(engine.Config{Scheme: engine.SchemeSecureWB,
-				Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: r.o.FullMemory, NVM: ncfg}, p)
-			sp := r.run(engine.Config{Scheme: engine.SchemeSP,
-				Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: r.o.FullMemory, NVM: ncfg}, p)
-			co := r.run(engine.Config{Scheme: engine.SchemeCoalescing,
-				Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: r.o.FullMemory, NVM: ncfg}, p)
+			cfg := func(s engine.Scheme) engine.Config {
+				c := r.cfg(s)
+				c.NVM = nvm.Config{ReadNS: pt.readNS, WriteNS: pt.writeNS}
+				return c
+			}
+			base := r.run(cfg(engine.SchemeSecureWB), p)
+			sp := r.run(cfg(engine.SchemeSP), p)
+			co := r.run(cfg(engine.SchemeCoalescing), p)
 			row = append(row,
 				float64(sp.Cycles)/float64(base.Cycles),
 				float64(co.Cycles)/float64(base.Cycles))

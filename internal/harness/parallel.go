@@ -96,8 +96,8 @@ func (r *runner) run(cfg engine.Config, p trace.Profile) engine.Result {
 // runSeries is run for callers that also want the run's telemetry
 // series: sampled selects sampling, interval the window width, and
 // observe (optional) receives the live sampler just before a cold run
-// starts — on a memo hit there is no live sampler and observe is not
-// called. hit reports whether the result came from the memo. The
+// starts, or nil once a memo hit has served the run — there is no live
+// sampler then. hit reports whether the result came from the memo. The
 // sampler is created inside the cold path (not by the caller) so that
 // a memoized run reuses the stored series instead of leaving an
 // externally owned sampler empty.
@@ -130,7 +130,11 @@ func (r *runner) runSeries(cfg engine.Config, p trace.Profile, sampled bool, int
 		return res, series, false
 	}
 	key.Sampled, key.Interval = sampled, interval
-	return r.o.Memo.Run(key, exec)
+	res, series, hit := r.o.Memo.Run(key, exec)
+	if hit && observe != nil {
+		observe(nil)
+	}
+	return res, series, hit
 }
 
 // baseEntry is one baseline cache slot; its once guarantees the run

@@ -85,6 +85,45 @@ func TestBaselineKeyedByFullMemory(t *testing.T) {
 	}
 }
 
+// TestDriversThreadCancel pins that every driver hands the engine its
+// Options.Cancel hook: a driver that builds a config without it keeps
+// simulating after its job was cancelled.
+func TestDriversThreadCancel(t *testing.T) {
+	var mu sync.Mutex
+	driver := ""
+	missed := map[string]bool{}
+	seen := func(cfg engine.Config) {
+		if cfg.Cancel == nil {
+			mu.Lock()
+			missed[driver] = true
+			mu.Unlock()
+		}
+	}
+	origRun, origSrc, origResume := engineRun, engineRunSource, engineResume
+	engineRun = func(cfg engine.Config, p trace.Profile) engine.Result {
+		seen(cfg)
+		return origRun(cfg, p)
+	}
+	engineRunSource = func(cfg engine.Config, bench string, ipc float64, src trace.Source) engine.Result {
+		seen(cfg)
+		return origSrc(cfg, bench, ipc, src)
+	}
+	engineResume = func(ck *engine.Checkpoint, cfg engine.Config) (engine.Result, error) {
+		seen(cfg)
+		return origResume(ck, cfg)
+	}
+	t.Cleanup(func() { engineRun, engineRunSource, engineResume = origRun, origSrc, origResume })
+	for _, id := range Order() {
+		mu.Lock()
+		driver = id
+		mu.Unlock()
+		All()[id](Options{Instructions: 20_000, Benches: []string{"gamess"}, Cancel: func() bool { return false }})
+	}
+	if len(missed) > 0 {
+		t.Errorf("drivers ran the engine without Options.Cancel: %v", missed)
+	}
+}
+
 func TestAttribDriver(t *testing.T) {
 	e := Attrib(Options{Instructions: 300_000, Benches: []string{"gamess"}})
 	// The breakdown must tell the paper's story: sp MAC-bound, the

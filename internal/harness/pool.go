@@ -119,44 +119,12 @@ func (p *PoolProbe) drain(n int) {
 // This is the harness's sweep fan-out, exported so other drivers (the
 // crash-injection campaign) share one pool discipline.
 func Fan(n, workers int, fn func(i int)) {
-	FanProbe(n, workers, nil, fn)
+	FanCtxProbe(context.TODO(), n, workers, nil, fn)
 }
 
 // FanProbe is Fan with an occupancy probe (nil = uninstrumented).
 func FanProbe(n, workers int, probe *PoolProbe, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	probe.enqueue(n, workers)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			probe.start()
-			fn(i)
-			probe.done()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				probe.start()
-				fn(i)
-				probe.done()
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	FanCtxProbe(context.TODO(), n, workers, probe, fn)
 }
 
 // FanCtx is Fan with cooperative cancellation: once ctx is done no new
@@ -169,9 +137,10 @@ func FanCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return FanCtxProbe(ctx, n, workers, nil, fn)
 }
 
-// FanCtxProbe is FanCtx with an occupancy probe (nil = uninstrumented).
-// Items never dispatched because ctx fired are drained from the
-// probe's queue count, so Queued() returns to zero either way.
+// FanCtxProbe is FanCtx with an occupancy probe (nil = uninstrumented),
+// and the one pool body behind Fan, FanProbe and FanCtx. Items never
+// dispatched because ctx fired are drained from the probe's queue
+// count, so Queued() returns to zero either way.
 func FanCtxProbe(ctx context.Context, n, workers int, probe *PoolProbe, fn func(i int)) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()

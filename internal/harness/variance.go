@@ -27,10 +27,8 @@ func Variance(o Options) *Experiment {
 		for s := 0; s < varianceSeeds; s++ {
 			variant := p
 			variant.Seed = p.Seed + uint64(s)*1009
-			base := r.run(engine.Config{Scheme: engine.SchemeSecureWB,
-				Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: r.o.FullMemory}, variant)
-			res := r.run(engine.Config{Scheme: engine.SchemeCoalescing,
-				Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: r.o.FullMemory}, variant)
+			base := r.run(r.cfg(engine.SchemeSecureWB), variant)
+			res := r.run(r.cfg(engine.SchemeCoalescing), variant)
 			vals = append(vals, float64(res.Cycles)/float64(base.Cycles))
 		}
 		rw := row{mean: stats.Mean(vals), min: vals[0], max: vals[0]}

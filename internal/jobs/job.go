@@ -185,9 +185,10 @@ func (j *Job) Status(withTelemetry bool) Status {
 	return st
 }
 
-// observe registers one engine run's live sampler as the run starts
-// (harness RecordOptions.Observe; called concurrently by the fan-out
-// workers).
+// observe counts one engine run as started and registers its live
+// sampler — nil for a run served from the memo or executed on another
+// process (harness RecordOptions.Observe; called concurrently by the
+// fan-out workers).
 func (j *Job) observe(scheme engine.Scheme, bench string, s *telemetry.Sampler) {
 	key := string(scheme) + "/" + bench
 	j.mu.Lock()

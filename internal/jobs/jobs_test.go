@@ -180,6 +180,68 @@ func TestCrashJob(t *testing.T) {
 	}
 }
 
+// TestCrashJobCancel cancels a running crash campaign and requires it
+// to stop within its in-flight point checks: the window runs and the
+// point fan-out both watch the job's context. Uncancelled, this
+// campaign (three schemes, 60k instructions, 448 + 64 points each)
+// runs for well over ten seconds.
+func TestCrashJobCancel(t *testing.T) {
+	s, w := newTestService(t, Config{Workers: 1})
+	j, err := s.Submit(Spec{Kind: KindCrash, Crash: &crash.CampaignConfig{
+		Schemes: []engine.Scheme{engine.SchemeSP, engine.SchemePipeline, engine.SchemeO3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for j.State() == StateQueued {
+		if time.Now().After(deadline) {
+			t.Fatal("job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(200 * time.Millisecond)
+	start := time.Now()
+	if err := s.Cancel(j.ID()); err != nil {
+		t.Fatal(err)
+	}
+	w.wait(t, j, 60*time.Second)
+	if st := j.State(); st != StateCanceled {
+		t.Fatalf("state %s after cancelling a running crash job", st)
+	}
+	if d := time.Since(start); d > 3*time.Second {
+		t.Fatalf("crash job took %v to stop after cancel", d)
+	}
+}
+
+// TestMemoSweepReportsProgress resubmits a sweep to a service with a
+// memo: every point is served from the memo, and the job still counts
+// each one as started and lists it under runs.
+func TestMemoSweepReportsProgress(t *testing.T) {
+	s, w := newTestService(t, Config{Workers: 1, Memo: harness.NewMemo(0)})
+	spec := Spec{Kind: KindSweep, Benches: []string{"gamess"},
+		Schemes: []string{"pipeline", "sp"}, Instructions: 40_000}
+	var st Status
+	for pass := 0; pass < 2; pass++ {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.wait(t, j, 60*time.Second)
+		if j.State() != StateSucceeded {
+			t.Fatalf("pass %d: state %s: %s", pass, j.State(), j.Status(false).Error)
+		}
+		st = j.Status(false)
+	}
+	if hits := s.cfg.Memo.Stats().Hits; hits != 2 {
+		t.Fatalf("resubmitted sweep hit the memo %d times, want 2", hits)
+	}
+	if st.TotalRuns != 2 || st.StartedRuns != st.TotalRuns || len(st.Runs) != 2 {
+		t.Fatalf("memo-served job: started %d of %d runs, %d runs entries",
+			st.StartedRuns, st.TotalRuns, len(st.Runs))
+	}
+}
+
 // TestSubmitInvalid checks the submit-side gate and its 400 tag.
 func TestSubmitInvalid(t *testing.T) {
 	s, _ := newTestService(t, Config{Workers: 1})

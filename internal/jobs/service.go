@@ -636,14 +636,8 @@ func (s *Service) runCrash(ctx context.Context, j *Job) (*registry.JobResult, er
 		cc = *j.spec.Crash
 	}
 	cc.Parallel = s.cfg.RunParallel
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep, err := crash.RunCampaign(cc)
+	rep, err := crash.RunCampaign(ctx, cc)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return &registry.JobResult{Crash: rep.RegistryFile("job-" + j.id)}, nil

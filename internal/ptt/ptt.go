@@ -116,30 +116,6 @@ func (t *Table) InFlightAt(at sim.Cycle) int {
 	return n
 }
 
-// Snapshot is the table state a crash at a given cycle would freeze:
-// the scheduled-persist count, the entries whose root updates were
-// still outstanding at the snapshot cycle, and the per-level update
-// frontier (StageDone[l-1] is when the youngest persist so far
-// completes its level-l update; a value beyond the snapshot cycle
-// means that level's update was in flight and is lost).
-type Snapshot struct {
-	Levels    int         `json:"levels"`
-	Persists  uint64      `json:"persists"`
-	InFlight  int         `json:"inFlight"`
-	StageDone []sim.Cycle `json:"stageDone"`
-}
-
-// SnapshotAt captures the table state as of the given cycle. It does
-// not mutate the table.
-func (t *Table) SnapshotAt(at sim.Cycle) Snapshot {
-	return Snapshot{
-		Levels:    t.levels,
-		Persists:  t.Persists,
-		InFlight:  t.InFlightAt(at),
-		StageDone: append([]sim.Cycle(nil), t.stageDone...),
-	}
-}
-
 // SequentialPersist schedules one persist under the *baseline* SP
 // mechanism (§IV-A1): the leaf-to-root update runs only after the
 // previous persist's root update completed — no pipelining. It is

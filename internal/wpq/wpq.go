@@ -131,22 +131,6 @@ func (q *Queue) DrainTime() sim.Cycle {
 // Admit's ready time).
 func (q *Queue) InFlight() int { return len(q.inflight) }
 
-// Snapshot is the queue state a crash at a given cycle would freeze:
-// how many persists had entered the queue over the whole run and how
-// many entries were still locked — i.e. persists whose memory tuple
-// was admitted but not yet fully persisted — at the snapshot cycle.
-type Snapshot struct {
-	Capacity int    `json:"capacity"`
-	Admitted uint64 `json:"admitted"`
-	InFlight int    `json:"inFlight"`
-}
-
-// SnapshotAt captures the queue state as of the given cycle. It does
-// not mutate the queue.
-func (q *Queue) SnapshotAt(at sim.Cycle) Snapshot {
-	return Snapshot{Capacity: q.capacity, Admitted: q.Admitted, InFlight: q.InFlightAt(at)}
-}
-
 // InFlightAt returns the number of entries still occupied at the
 // given cycle: admitted persists whose completion lies beyond it.
 // This is the telemetry sampler's occupancy probe; it scans the

@@ -29,26 +29,11 @@ func NewTelemetrySampler(intervalCycles uint64) *TelemetrySampler {
 	return telemetry.NewSampler(sim.Cycle(intervalCycles), 0, engine.ComponentLabels())
 }
 
-// Tracing (see internal/engine): mode-aware structured event streaming
-// out of a running simulation. Tracing is observational — simulated
-// cycles are bit-identical in every mode.
-type (
-	// TracingConfig selects a trace mode, sink, and HYBRID sampling
-	// rate; attach it with WithTracing.
-	TracingConfig = engine.TraceConfig
-	// TraceMode is OFF / SYSTEM-ONLY / HYBRID / FULL.
-	TraceMode = engine.TraceMode
-	// TraceEvent is one structured event delivered to the sink.
-	TraceEvent = engine.TraceEvent
-)
-
-// The tracing modes (TracingConfig.Mode).
-const (
-	TracingOff        = engine.TraceOff
-	TracingSystemOnly = engine.TraceSystemOnly
-	TracingHybrid     = engine.TraceHybrid
-	TracingFull       = engine.TraceFull
-)
+// TraceEvent is one structured event of a running simulation (see
+// internal/engine), delivered to a WithTracing sink. Tracing is
+// observational — simulated cycles are bit-identical with or without
+// it.
+type TraceEvent = engine.TraceEvent
 
 // Session is the configured entry point for timing simulations: build
 // one with NewSession and functional options, then Run it. A Session
@@ -76,7 +61,7 @@ type Session struct {
 	ctx     context.Context
 	log     *slog.Logger
 	tel     *telemetry.Sampler
-	tracing TracingConfig
+	sink    func(TraceEvent)
 
 	err error // first option error, surfaced by NewSession
 }
@@ -120,7 +105,7 @@ func WithFullMemory() SessionOption {
 
 // WithConfig replaces the session's whole engine configuration —
 // the escape hatch for knobs without a dedicated option (cache
-// geometry, MAC latency, epoch size, crash injection, ...). Apply it
+// geometry, MAC latency, epoch size, fault injection, ...). Apply it
 // before the narrower options so they win.
 func WithConfig(cfg SimConfig) SessionOption {
 	return func(s *Session) {
@@ -170,12 +155,11 @@ func WithLogger(l *slog.Logger) SessionOption {
 	}
 }
 
-// WithTracing attaches a mode-aware trace configuration: its Sink
-// receives the event subset the mode selects (TracingOff disables
-// tracing and keeps the engine's exact zero-overhead path). NewSession
-// validates the configuration.
-func WithTracing(tc TracingConfig) SessionOption {
-	return func(s *Session) { s.tracing = tc }
+// WithTracing attaches a sink that receives every persist and epoch
+// event of each Run; a sink that wants fewer filters on ev.Kind. A nil
+// sink traces nothing and keeps the engine's exact zero-overhead path.
+func WithTracing(sink func(TraceEvent)) SessionOption {
+	return func(s *Session) { s.sink = sink }
 }
 
 func (s *Session) fail(err error) {
@@ -199,9 +183,6 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 		return nil, fmt.Errorf("plp: session needs a benchmark (WithProfile or WithBenchmark)")
 	}
 	if err := s.cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("plp: %w", err)
-	}
-	if err := s.tracing.Validate(); err != nil {
 		return nil, fmt.Errorf("plp: %w", err)
 	}
 	return s, nil
@@ -256,9 +237,8 @@ func (s *Session) Run() (SimResult, error) {
 }
 
 // observer composes one run's observers: WithConfig's own, the
-// telemetry sampler, and a tracer — built per run, since its sampling
-// state belongs to one run. None of them costs the run anything when
-// absent.
+// telemetry sampler, and a tracer. None of them costs the run anything
+// when absent.
 func (s *Session) observer() engine.Observer {
 	var all observers
 	if s.cfg.Observer != nil {
@@ -267,7 +247,7 @@ func (s *Session) observer() engine.Observer {
 	if s.tel != nil {
 		all = append(all, s.tel)
 	}
-	if tr := engine.NewTracer(s.tracing); tr != nil {
+	if tr := engine.NewTracer(s.sink); tr != nil {
 		all = append(all, tr)
 	}
 	switch len(all) {

@@ -154,9 +154,8 @@ func TestSessionCancel(t *testing.T) {
 	}
 }
 
-// TestSessionTracing checks WithTracing delivers the mode's event
-// subset without perturbing results, and that NewSession rejects a bad
-// tracing configuration instead of letting Run misbehave.
+// TestSessionTracing checks WithTracing delivers every persist and
+// epoch event without perturbing results.
 func TestSessionTracing(t *testing.T) {
 	base, err := plp.NewSession(
 		plp.WithBenchmark("gcc"),
@@ -176,10 +175,7 @@ func TestSessionTracing(t *testing.T) {
 		plp.WithBenchmark("gcc"),
 		plp.WithScheme(plp.Coalescing),
 		plp.WithInstructions(100_000),
-		plp.WithTracing(plp.TracingConfig{
-			Mode: plp.TracingFull,
-			Sink: func(plp.TraceEvent) { events++ },
-		}),
+		plp.WithTracing(func(plp.TraceEvent) { events++ }),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -189,24 +185,17 @@ func TestSessionTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if events == 0 || uint64(events) != got.Persists+got.Epochs {
-		t.Fatalf("FULL tracing delivered %d events for %d persists and %d epochs",
+		t.Fatalf("tracing delivered %d events for %d persists and %d epochs",
 			events, got.Persists, got.Epochs)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tracing perturbed the result: cycles %d vs %d", got.Cycles, want.Cycles)
 	}
-
-	_, err = plp.NewSession(
-		plp.WithBenchmark("gcc"),
-		plp.WithTracing(plp.TracingConfig{Mode: "verbose"}),
-	)
-	if err == nil || !strings.Contains(err.Error(), "trace mode") {
-		t.Fatalf("bad trace mode not rejected: %v", err)
-	}
 }
 
 // TestSessionTelemetry checks WithTelemetry streams the series, also
-// when the session composes it with WithTracing.
+// when the session composes it with WithTracing, here a sink that
+// keeps only epoch events by filtering on their Kind.
 func TestSessionTelemetry(t *testing.T) {
 	sampler := plp.NewTelemetrySampler(1000)
 	var epochs uint64
@@ -215,9 +204,10 @@ func TestSessionTelemetry(t *testing.T) {
 		plp.WithScheme(plp.Coalescing),
 		plp.WithInstructions(100_000),
 		plp.WithTelemetry(sampler),
-		plp.WithTracing(plp.TracingConfig{
-			Mode: plp.TracingSystemOnly,
-			Sink: func(plp.TraceEvent) { epochs++ },
+		plp.WithTracing(func(ev plp.TraceEvent) {
+			if ev.Kind == "epoch" {
+				epochs++
+			}
 		}),
 	)
 	if err != nil {
