@@ -96,9 +96,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "plpserve: %v\n", err)
 		os.Exit(2)
 	}
-	// The tracer does not get the logger: the job service already logs
-	// every lifecycle edge itself, and giving both the same sink would
-	// double every record.
 	obsCfg := obs.Config{Capacity: *traceCap}
 	if *traceOut != "" {
 		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		scheme   = flag.String("scheme", "coalescing", "persist scheme: secure_WB, unordered, sp, pipeline, o3, coalescing, sgxtree")
+		scheme   = flag.String("scheme", "coalescing", fmt.Sprintf("persist scheme, one of %v", engine.Schemes()))
 		bench    = flag.String("bench", "gamess", "benchmark profile name")
 		instr    = flag.Uint64("instr", 10_000_000, "instructions to simulate")
 		full     = flag.Bool("full", false, "persist the stack segment too (full-memory protection)")

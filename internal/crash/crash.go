@@ -211,7 +211,7 @@ func runLog(ctx context.Context, c Case) (*Log, sim.Cycle, error) {
 	log := &Log{}
 	cfg := c.config()
 	cfg.Observer = log
-	cfg.Cancel = func() bool { return ctx.Err() != nil }
+	cfg.Cancel = ctx
 	res := engine.Run(cfg, p)
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err

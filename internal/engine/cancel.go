@@ -1,5 +1,10 @@
 package engine
 
+// Canceler is the cooperative stop hook of Config.Cancel: a run polls
+// Err and stops once it returns non-nil. context.Context satisfies it,
+// so a caller hands its context to the run as is.
+type Canceler interface{ Err() error }
+
 // cancelPollOps is the operation interval between Config.Cancel polls:
 // frequent enough that a cancellation lands within microseconds of
 // wall-clock (a few thousand ops simulate in well under a millisecond),
@@ -20,7 +25,7 @@ func (m *machine) stopNow() bool {
 		return false
 	}
 	m.cancelLeft = cancelPollOps
-	if m.cfg.Cancel() {
+	if m.cfg.Cancel.Err() != nil {
 		m.cancelStop = true
 		return true
 	}

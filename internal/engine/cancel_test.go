@@ -1,12 +1,26 @@
 package engine
 
 import (
+	"context"
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
+	"plp/internal/nvm"
 	"plp/internal/trace"
 )
+
+// pollFunc is a Canceler driven by a function: every poll of the run
+// calls it, and the run stops once it reports true.
+type pollFunc func() bool
+
+func (f pollFunc) Err() error {
+	if f() {
+		return context.Canceled
+	}
+	return nil
+}
 
 // TestCancelHookEquivalence installs a Config.Cancel hook that never
 // fires on every scheme and requires the complete Result (histograms,
@@ -21,7 +35,7 @@ func TestCancelHookEquivalence(t *testing.T) {
 		cfg := Config{Scheme: s, Instructions: 60_000, Warmup: 20_000}
 		base := Run(cfg, p)
 		var polls atomic.Int64
-		cfg.Cancel = func() bool { polls.Add(1); return false }
+		cfg.Cancel = pollFunc(func() bool { polls.Add(1); return false })
 		hooked := Run(cfg, p)
 		if !reflect.DeepEqual(base, hooked) {
 			t.Errorf("%s: an unfired cancel hook perturbed the Result", s)
@@ -41,7 +55,7 @@ func TestCancelStopsRun(t *testing.T) {
 	for _, s := range schemes {
 		var polls int
 		cfg := Config{Scheme: s, Instructions: 10_000_000}
-		cfg.Cancel = func() bool { polls++; return true }
+		cfg.Cancel = pollFunc(func() bool { polls++; return true })
 		res := Run(cfg, p)
 		// The first poll lands cancelPollOps ops in and fires, so the
 		// run consumes ~4k of the trace's millions of ops: exactly one
@@ -63,7 +77,7 @@ func TestCancelDeterministic(t *testing.T) {
 	mk := func() Result {
 		var n int
 		cfg := Config{Scheme: SchemeCoalescing, Instructions: 10_000_000}
-		cfg.Cancel = func() bool { n++; return n > 3 }
+		cfg.Cancel = pollFunc(func() bool { n++; return n > 3 })
 		return Run(cfg, p)
 	}
 	a, b := mk(), mk()
@@ -92,6 +106,12 @@ func TestValidate(t *testing.T) {
 		{MDCWays: -8},
 		{CtrCacheKB: 7}, // 7KB/8-way: set count not a power of two
 		{LLCKB: 3},
+		{NVM: nvm.Config{Banks: -1}},
+		{NVM: nvm.Config{WriteQueue: -3}},
+		{NVM: nvm.Config{CyclesPerNS: -4}},
+		{NVM: nvm.Config{ReadNS: math.NaN()}},
+		{NVM: nvm.Config{WriteNS: math.Inf(1)}},
+		{NVM: nvm.Config{WriteBusNS: -0.5}},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

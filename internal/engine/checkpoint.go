@@ -32,6 +32,41 @@ type Checkpoint struct {
 	consumed uint64
 }
 
+// CheckpointKey identifies one warm-up checkpoint: the trace identity
+// (benchmark name and seed) plus the config's warm-up projection (see
+// warmupConfig). Two runs share a checkpoint exactly when their keys
+// are equal; every other field may differ.
+type CheckpointKey struct {
+	Bench string
+	Seed  uint64
+	Cfg   Config
+}
+
+// CheckpointKeyFor computes the checkpoint key a run of cfg over the
+// named profile would use.
+func CheckpointKeyFor(cfg Config, bench string, seed uint64) CheckpointKey {
+	return CheckpointKey{Bench: bench, Seed: seed, Cfg: warmupConfig(cfg)}
+}
+
+// warmupConfig projects cfg, normalized, onto the seven fields warm-up
+// reads: the stream prefix (Instructions, Warmup) and the geometry of
+// the data hierarchy and counter cache warmCaches fills. A checkpoint
+// is built from this projection alone, so a field warm-up starts to
+// read without being kept here shows up as a resumed run that differs
+// from its cold run, not as a checkpoint silently shared.
+func warmupConfig(cfg Config) Config {
+	cfg.fill()
+	return Config{
+		Instructions: cfg.Instructions,
+		Warmup:       cfg.Warmup,
+		CtrCacheKB:   cfg.CtrCacheKB,
+		MDCWays:      cfg.MDCWays,
+		LLCKB:        cfg.LLCKB,
+		LLCWays:      cfg.LLCWays,
+		IdealMDC:     cfg.IdealMDC,
+	}
+}
+
 // NewCheckpoint builds the warm-up checkpoint of (cfg, prof): it
 // streams cfg.Warmup instructions of prof's trace through fresh
 // warm-up structures and snapshots everything a resumed run needs.
@@ -45,7 +80,8 @@ func NewCheckpoint(cfg Config, prof trace.Profile) (*Checkpoint, error) {
 // identify the trace in the checkpoint's key; ipc is the baseline core
 // IPC a resumed run simulates at. The caller's source is not consumed.
 func NewCheckpointSource(cfg Config, bench string, seed uint64, ipc float64, src trace.Source) (*Checkpoint, error) {
-	cfg.fill()
+	key := CheckpointKeyFor(cfg, bench, seed)
+	cfg = key.Cfg
 	if ipc <= 0 {
 		ipc = 1
 	}
@@ -54,7 +90,7 @@ func NewCheckpointSource(cfg Config, bench string, seed uint64, ipc float64, src
 		return nil, fmt.Errorf("engine: source %T is not checkpointable (no CloneSource)", src)
 	}
 	ck := &Checkpoint{
-		key:   CheckpointKeyFor(cfg, bench, seed),
+		key:   key,
 		bench: bench,
 		ipc:   ipc,
 	}
@@ -94,13 +130,13 @@ func (ck *Checkpoint) Bytes() uint64 {
 }
 
 // Resume runs cfg's measured region from the checkpoint, skipping the
-// warm-up work. cfg must agree with the checkpoint on every StageTrace
-// and StageWarmup field (see CheckpointConfigOf); anything later —
-// scheme, latencies, queue sizes, NVM timing, hooks — may differ. The
-// returned Result is bit-identical to RunSource on the same config.
+// warm-up work. cfg must agree with the checkpoint on its warm-up
+// projection (see warmupConfig); anything else — scheme, latencies,
+// queue sizes, NVM timing, hooks — may differ. The returned Result is
+// bit-identical to RunSource on the same config.
 func (ck *Checkpoint) Resume(cfg Config) (Result, error) {
 	cfg.fill()
-	if got := CheckpointConfigOf(cfg); got != ck.key.Cfg {
+	if got := warmupConfig(cfg); got != ck.key.Cfg {
 		return Result{}, fmt.Errorf("engine: checkpoint %+v cannot resume diverged config %+v", ck.key.Cfg, got)
 	}
 	m := newMachine(cfg)

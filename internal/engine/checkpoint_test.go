@@ -66,7 +66,7 @@ func TestCheckpointIsReusable(t *testing.T) {
 }
 
 // TestCheckpointServesMeasureStageVariants: one checkpoint serves
-// configs that differ in StageMeasure knobs (the cross-scheme,
+// configs that differ in knobs warm-up never reads (the cross-scheme,
 // cross-latency reuse the sweep memoization depends on).
 func TestCheckpointServesMeasureStageVariants(t *testing.T) {
 	prof := trace.Profiles()[0]
@@ -122,8 +122,9 @@ func TestCheckpointFromStoreReplay(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsDivergedConfig: resuming with any StageTrace or
-// StageWarmup field changed is an error, not a silently wrong result.
+// TestCheckpointRejectsDivergedConfig: resuming with a config whose
+// checkpoint key differs — any row of the mutator table that changes
+// the warm-up projection — is an error, not a silently wrong result.
 func TestCheckpointRejectsDivergedConfig(t *testing.T) {
 	prof := trace.Profiles()[0]
 	base := Config{Scheme: SchemeSP, Instructions: 40_000, Warmup: 15_000}
@@ -131,18 +132,19 @@ func TestCheckpointRejectsDivergedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutants := map[string]Config{}
+	diverged := 0
 	for name, mutate := range configMutators(t) {
-		if fieldStages[name] <= StageWarmup {
-			mutants[name] = mutate(base)
+		cfg := mutate(base)
+		if CheckpointKeyFor(cfg, prof.Name, prof.Seed) == ck.Key() {
+			continue
 		}
-	}
-	if len(mutants) < 7 {
-		t.Fatalf("only %d trace/warmup mutators; divergence map shrank?", len(mutants))
-	}
-	for name, cfg := range mutants {
+		diverged++
 		if _, err := ck.Resume(cfg); err == nil {
 			t.Errorf("resume accepted config with diverged %s", name)
 		}
+	}
+	// Instructions, Warmup, CtrCacheKB, MDCWays, LLCKB, LLCWays, IdealMDC.
+	if diverged != 7 {
+		t.Errorf("%d rows change the checkpoint key, want the 7 warm-up fields", diverged)
 	}
 }

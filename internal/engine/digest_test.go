@@ -50,7 +50,7 @@ func digestConfigs(s Scheme) []digestRow {
 		{"idealmdc", with(func(c *Config) { c.IdealMDC = true })},
 		{"faultack", with(func(c *Config) { c.FaultEarlyRootAck = true })},
 		{"wpq4-bmt5", with(func(c *Config) { c.WPQEntries = 4; c.BMTLevels = 5 })},
-		{"cancel", with(func(c *Config) { c.Cancel = func() bool { polls++; return polls >= 2 } })},
+		{"cancel", with(func(c *Config) { c.Cancel = pollFunc(func() bool { polls++; return polls >= 2 }) })},
 		{"llc256", with(func(c *Config) { c.LLCKB = 256 })},
 	}
 }

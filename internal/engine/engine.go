@@ -167,16 +167,16 @@ type Config struct {
 	// allocates private buffers.
 	Arena *Arena
 
-	// Cancel, when non-nil, is a cooperative cancellation hook: the run
-	// polls it once every cancelPollOps operations and stops early when
-	// it returns true, abandoning the remainder of the trace. Polling
-	// neither reads nor writes timing state, so an installed hook that
-	// never fires leaves the run bit-identical to one without
-	// (equivalence-pinned), and nil costs one pointer check per
-	// operation. A cancelled run's partial Result is not meaningful;
-	// callers (internal/jobs, the plp facade) discard it and surface
-	// the context error instead.
-	Cancel func() bool
+	// Cancel, when non-nil, is a cooperative cancellation hook, usually
+	// the caller's context: the run polls its Err once every
+	// cancelPollOps operations and stops early once that is non-nil,
+	// abandoning the remainder of the trace. Polling neither reads nor
+	// writes timing state, so an installed hook that never fires leaves
+	// the run bit-identical to one without (equivalence-pinned), and
+	// nil costs one nil check per operation. A cancelled run's partial
+	// Result is not meaningful; callers (internal/jobs, the plp facade)
+	// discard it and surface the context error instead.
+	Cancel Canceler
 
 	// FaultEarlyRootAck is a fault-injection hook for validating the
 	// crash campaign. Under the eight strict store-persist schemes (sp,
@@ -203,13 +203,21 @@ func (c Config) WithMACLatency(lat sim.Cycle) Config {
 }
 
 // Normalized returns the config with every defaulted field filled in
-// to its Table III value — the form Run actually simulates. Two
-// configs are semantically identical exactly when their Normalized
-// comparable fields are equal (after filling, MACLatency's value alone
-// carries the zero-vs-default distinction), which is what memoization
-// layers key on.
+// to its Table III value — the form Run actually simulates.
 func (c Config) Normalized() Config {
 	c.fill()
+	return c
+}
+
+// Key returns the config's identity as a cached simulation result:
+// the normalized config with its three hooks (Observer, Arena, Cancel)
+// cleared, since none of them changes timing. Two configs simulate
+// identically when their keys are equal, so memoization layers use the
+// key as a map key; comparing configs any other way could compare an
+// uncomparable hook and panic.
+func (c Config) Key() Config {
+	c.fill()
+	c.Observer, c.Arena, c.Cancel = nil, nil, nil
 	return c
 }
 
@@ -223,6 +231,9 @@ func (c *Config) fill() {
 	if c.MACLatency == 0 && !c.macLatIsZero {
 		c.MACLatency = 40
 	}
+	// After filling, MACLatency alone carries the zero-vs-default
+	// split; the flag follows it so equal latencies give equal keys.
+	c.macLatIsZero = c.MACLatency == 0
 	if c.BMTLevels == 0 {
 		c.BMTLevels = 9
 	}
@@ -663,7 +674,7 @@ func (m *machine) warm(st *opStream, instrs uint64) {
 // construction: it streams instructions through the data hierarchy and
 // counter cache without timing. Warm-up state therefore depends on
 // exactly the stream prefix and these two structures' geometry — the
-// StageWarmup entries of the divergence map.
+// fields warmupConfig keeps.
 func warmCaches(data *hier.Hierarchy, ctr *cache.Cache, idealMDC bool, st *opStream, instrs uint64) {
 	for st.progress() < instrs {
 		op := st.next()

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"plp/internal/addr"
 	"plp/internal/bmt"
@@ -69,6 +70,20 @@ func (c Config) Validate() error {
 		Ways: c.LLCWays, Policy: cache.WriteBack,
 	}); err != nil {
 		return fmt.Errorf("engine: %w", err)
+	}
+	// Zero NVM fields take nvm.DefaultConfig's values; anything else
+	// must be a usable count or duration.
+	n := c.NVM
+	if n.Banks < 0 || n.WriteQueue < 0 {
+		return fmt.Errorf("engine: NVM Banks and WriteQueue must be >= 0, got %d and %d", n.Banks, n.WriteQueue)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"CyclesPerNS", n.CyclesPerNS}, {"ReadNS", n.ReadNS}, {"WriteNS", n.WriteNS}, {"WriteBusNS", n.WriteBusNS}} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("engine: NVM %s must be finite and >= 0, got %v", f.name, f.v)
+		}
 	}
 	return nil
 }

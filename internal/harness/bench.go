@@ -54,10 +54,11 @@ func Record(o RecordOptions) []registry.Run {
 // ctx.Err(). A background context reproduces Record exactly: no hook
 // is installed and the results are bit-identical (equivalence-tested).
 func RecordContext(ctx context.Context, o RecordOptions) ([]registry.Run, error) {
-	if cancel := ctxCancel(ctx); cancel != nil {
+	if ctx.Done() != nil {
 		// One shared hook: Options.Cancel flows through runner.cfg into
-		// every scheduled engine run.
-		o.Cancel = cancel
+		// every scheduled engine run. A context that can never be
+		// cancelled installs none.
+		o.Cancel = ctx
 	}
 	r := newRunner(o.Options)
 	schemes := o.Schemes
@@ -124,15 +125,4 @@ func RecordContext(ctx context.Context, o RecordOptions) ([]registry.Run, error)
 		runs = kept
 	}
 	return runs, err
-}
-
-// ctxCancel adapts ctx to an engine Config.Cancel hook, or nil for a
-// context that can never be cancelled (ctx.Err() is then a pure
-// function returning nil, and installing a hook would only cost the
-// golden path its bit-identical no-hook equivalence).
-func ctxCancel(ctx context.Context) func() bool {
-	if ctx.Done() == nil {
-		return nil
-	}
-	return func() bool { return ctx.Err() != nil }
 }

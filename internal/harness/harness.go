@@ -31,11 +31,12 @@ type Options struct {
 	// Cancel, when non-nil, threads into every engine run the drivers
 	// schedule through the shared runner (engine Config.Cancel): the
 	// cooperative stop the job service uses to abandon an experiment
-	// mid-run. A cancelled driver still returns its Experiment, but the
-	// partial numbers are meaningless — callers that set Cancel must
-	// discard the result once the hook has fired. Nil (the default)
-	// leaves every run bit-identical to the unhooked engine.
-	Cancel func() bool
+	// mid-run, usually the job's context. A cancelled driver still
+	// returns its Experiment, but the partial numbers are meaningless —
+	// callers that set Cancel must discard the result once it has
+	// fired. Nil (the default) leaves every run bit-identical to the
+	// unhooked engine.
+	Cancel engine.Canceler
 	// Warmup streams this many instructions through the caches before
 	// each run's measured region (engine Config.Warmup). Besides its
 	// methodological role, a non-zero warm-up is what the memo's

@@ -10,60 +10,19 @@ import (
 )
 
 // MemoKey identifies one simulation result up to semantic equivalence:
-// the trace identity, every timing-relevant Config field (post-
-// Normalized, so filled defaults and explicit values collide exactly
+// the trace identity, the config's Key (every field but the hooks,
+// normalized, so filled defaults and explicit values collide exactly
 // when the engine would behave identically), and the telemetry shape
 // (a sampled run carries a Series a headline-only run does not).
-// Fields that never change timing — hooks, arenas, cancellation — are
-// deliberately absent: runs differing only in them share an entry.
 type MemoKey struct {
 	Bench string
 	Seed  uint64
-	Cfg   memoCfg
+	Cfg   engine.Config
 	// Sampled/Interval describe the memoized run's telemetry series
 	// (sim.Cycle is unsigned, so a plain Interval can't encode
 	// "unsampled" — the bool carries that).
 	Sampled  bool
 	Interval sim.Cycle
-}
-
-// memoCfg is the comparable projection of engine.Config onto its
-// timing-relevant fields. TestMemoKeyCoversSemanticFields pins it to
-// the engine's divergence map: every StageTrace/StageWarmup/
-// StageMeasure field must appear here.
-type memoCfg struct {
-	Scheme             engine.Scheme
-	Instructions       uint64
-	Warmup             uint64
-	MACLatency         sim.Cycle // post-fill: value alone encodes the zero-vs-default split
-	BMTLevels          int
-	WPQEntries         int
-	PTTEntries         int
-	ETTSlots           int
-	EpochSize          int
-	TriadLevels        int
-	CtrCacheKB         int
-	MACCacheKB         int
-	BMTCacheKB         int
-	MDCWays            int
-	LLCKB              int
-	LLCWays            int
-	IdealMDC           bool
-	ChainedCoalescing  bool
-	ReadVerification   bool
-	FullMemory         bool
-	FlushCyclesPerLine int
-	FaultEarlyRootAck  bool
-	NVM                nvmKey
-}
-
-// nvmKey mirrors nvm.Config's fields (all comparable) without
-// importing a dependency direction the harness doesn't already have.
-type nvmKey struct {
-	CyclesPerNS float64
-	ReadNS      float64
-	WriteNS     float64
-	Banks       int
 }
 
 // memoKeyOf builds cfg's memo key, or ok=false when the run is not
@@ -74,41 +33,7 @@ func memoKeyOf(cfg engine.Config, bench string, seed uint64) (MemoKey, bool) {
 	if cfg.Observer != nil {
 		return MemoKey{}, false
 	}
-	n := cfg.Normalized()
-	return MemoKey{
-		Bench: bench,
-		Seed:  seed,
-		Cfg: memoCfg{
-			Scheme:             n.Scheme,
-			Instructions:       n.Instructions,
-			Warmup:             n.Warmup,
-			MACLatency:         n.MACLatency,
-			BMTLevels:          n.BMTLevels,
-			WPQEntries:         n.WPQEntries,
-			PTTEntries:         n.PTTEntries,
-			ETTSlots:           n.ETTSlots,
-			EpochSize:          n.EpochSize,
-			TriadLevels:        n.TriadLevels,
-			CtrCacheKB:         n.CtrCacheKB,
-			MACCacheKB:         n.MACCacheKB,
-			BMTCacheKB:         n.BMTCacheKB,
-			MDCWays:            n.MDCWays,
-			LLCKB:              n.LLCKB,
-			LLCWays:            n.LLCWays,
-			IdealMDC:           n.IdealMDC,
-			ChainedCoalescing:  n.ChainedCoalescing,
-			ReadVerification:   n.ReadVerification,
-			FullMemory:         n.FullMemory,
-			FlushCyclesPerLine: n.FlushCyclesPerLine,
-			FaultEarlyRootAck:  n.FaultEarlyRootAck,
-			NVM: nvmKey{
-				CyclesPerNS: n.NVM.CyclesPerNS,
-				ReadNS:      n.NVM.ReadNS,
-				WriteNS:     n.NVM.WriteNS,
-				Banks:       n.NVM.Banks,
-			},
-		},
-	}, true
+	return MemoKey{Bench: bench, Seed: seed, Cfg: cfg.Key()}, true
 }
 
 // MemoStats is a snapshot of a Memo's traffic and occupancy.

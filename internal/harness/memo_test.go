@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -133,31 +134,28 @@ func TestMemoColdPassUsesResume(t *testing.T) {
 	}
 }
 
-// TestMemoKeyInvalidation: every semantic Config difference must map
-// to a distinct memo key; observational differences must not.
+// TestMemoKeyInvalidation: the memo key is the trace identity plus the
+// config's Key, so Arena and Cancel never split a key and explicit
+// defaults collide; a config with an observer is not memoizable. The
+// engine's key tests check Key itself field by field.
 func TestMemoKeyInvalidation(t *testing.T) {
 	base := engine.Config{Scheme: engine.SchemeSP, Instructions: 50_000, Warmup: 10_000}
 	baseKey, ok := memoKeyOf(base, "b", 1)
 	if !ok {
 		t.Fatal("base config must be memoizable")
 	}
-	stages := engine.FieldStages()
-	for name, mutate := range configMutatorsHarness() {
-		cfg := mutate(base)
-		key, ok := memoKeyOf(cfg, "b", 1)
-		semantic := stages[name] <= engine.StageMeasure
-		if !ok {
-			if semantic {
-				t.Errorf("mutating %s made the config unmemoizable; expected a key change", name)
-			}
-			continue // unmemoizable observational configs can never collide
-		}
-		if semantic && key == baseKey {
-			t.Errorf("mutating %s (semantic) did not change the memo key", name)
-		}
-		if !semantic && key != baseKey {
-			t.Errorf("mutating %s (observational) changed the memo key", name)
-		}
+	if baseKey.Cfg != base.Key() {
+		t.Error("memo key does not carry the config's Key")
+	}
+	hooked := base
+	hooked.Arena, hooked.Cancel = engine.NewArena(), context.Background()
+	if key, _ := memoKeyOf(hooked, "b", 1); key != baseKey {
+		t.Error("Arena or Cancel changed the memo key")
+	}
+	observed := base
+	observed.Observer = telemetry.NewSampler(1000, 0, nil)
+	if _, ok := memoKeyOf(observed, "b", 1); ok {
+		t.Error("a config with an observer must bypass the memo")
 	}
 	// Defaults collide with their explicit spellings (Normalized).
 	explicit := base
@@ -175,60 +173,28 @@ func TestMemoKeyInvalidation(t *testing.T) {
 	}
 }
 
-// configMutatorsHarness mirrors the engine's mutator table for the
-// fields the memo key must discriminate. Kept separately (not
-// exported from the engine tests) but pinned to the same Config
-// reflection check, so a new field fails both packages' tests.
-func configMutatorsHarness() map[string]func(engine.Config) engine.Config {
-	return map[string]func(engine.Config) engine.Config{
-		"Scheme":             func(c engine.Config) engine.Config { c.Scheme = engine.SchemeSGXTree; return c },
-		"Instructions":       func(c engine.Config) engine.Config { c.Instructions += 10_000; return c },
-		"Warmup":             func(c engine.Config) engine.Config { c.Warmup += 5_000; return c },
-		"MACLatency":         func(c engine.Config) engine.Config { return c.WithMACLatency(80) },
-		"macLatIsZero":       func(c engine.Config) engine.Config { return c.WithMACLatency(0) },
-		"BMTLevels":          func(c engine.Config) engine.Config { c.BMTLevels = 7; return c },
-		"WPQEntries":         func(c engine.Config) engine.Config { c.WPQEntries = 8; return c },
-		"PTTEntries":         func(c engine.Config) engine.Config { c.PTTEntries = 16; return c },
-		"ETTSlots":           func(c engine.Config) engine.Config { c.ETTSlots = 4; return c },
-		"EpochSize":          func(c engine.Config) engine.Config { c.EpochSize = 64; return c },
-		"TriadLevels":        func(c engine.Config) engine.Config { c.TriadLevels = 4; return c },
-		"CtrCacheKB":         func(c engine.Config) engine.Config { c.CtrCacheKB = 64; return c },
-		"MACCacheKB":         func(c engine.Config) engine.Config { c.MACCacheKB = 64; return c },
-		"BMTCacheKB":         func(c engine.Config) engine.Config { c.BMTCacheKB = 64; return c },
-		"MDCWays":            func(c engine.Config) engine.Config { c.MDCWays = 4; return c },
-		"LLCKB":              func(c engine.Config) engine.Config { c.LLCKB = 2048; return c },
-		"LLCWays":            func(c engine.Config) engine.Config { c.LLCWays = 16; return c },
-		"IdealMDC":           func(c engine.Config) engine.Config { c.IdealMDC = true; return c },
-		"ChainedCoalescing":  func(c engine.Config) engine.Config { c.ChainedCoalescing = true; return c },
-		"ReadVerification":   func(c engine.Config) engine.Config { c.ReadVerification = true; return c },
-		"FullMemory":         func(c engine.Config) engine.Config { c.FullMemory = true; return c },
-		"FlushCyclesPerLine": func(c engine.Config) engine.Config { c.FlushCyclesPerLine = 8; return c },
-		"FaultEarlyRootAck":  func(c engine.Config) engine.Config { c.FaultEarlyRootAck = true; return c },
-		"NVM": func(c engine.Config) engine.Config {
-			c.NVM.Banks = 4
-			return c
-		},
-		"Observer": func(c engine.Config) engine.Config {
-			c.Observer = telemetry.NewSampler(1000, 0, nil)
-			return c
-		},
-		"Arena": func(c engine.Config) engine.Config { c.Arena = engine.NewArena(); return c },
-		"Cancel": func(c engine.Config) engine.Config {
-			c.Cancel = func() bool { return false }
-			return c
-		},
-	}
-}
-
-// TestMemoMutatorTableComplete pins configMutatorsHarness to the
-// Config struct via reflection, like the engine-side table.
-func TestMemoMutatorTableComplete(t *testing.T) {
-	typ := reflect.TypeOf(engine.Config{})
-	m := configMutatorsHarness()
-	for i := 0; i < typ.NumField(); i++ {
-		if _, ok := m[typ.Field(i).Name]; !ok {
-			t.Errorf("no mutator for engine.Config.%s", typ.Field(i).Name)
+// TestMemoKeyNVMWriteDrain: configs that differ only in the NVM write
+// drain (WriteBusNS, WriteQueue) get distinct memo keys, and each
+// memoized result equals its own cold run instead of another config's.
+func TestMemoKeyNVMWriteDrain(t *testing.T) {
+	p, _ := trace.ProfileByName("gamess")
+	base := engine.Config{Scheme: engine.SchemeCoalescing, Instructions: 100_000}
+	bus, queue := base, base
+	bus.NVM.WriteBusNS = 200
+	queue.NVM.WriteQueue = 2
+	r := newRunner(Options{Memo: NewMemo(0)})
+	keys := map[MemoKey]bool{}
+	for _, cfg := range []engine.Config{base, bus, queue} {
+		key, _ := memoKeyOf(cfg, p.Name, p.Seed)
+		keys[key] = true
+		got, want := r.run(cfg, p), engine.Run(cfg, p)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("NVM %+v: memoized result differs from its cold run (NVMWrites %d, cold %d)",
+				cfg.NVM, got.NVMWrites, want.NVMWrites)
 		}
+	}
+	if len(keys) != 3 {
+		t.Errorf("3 write-drain configs share %d memo keys", len(keys))
 	}
 }
 

@@ -77,7 +77,7 @@ func (r *runner) cold(cfg engine.Config, p trace.Profile) engine.Result {
 		}
 		// A checkpoint path failure (uncheckpointable source, key drift)
 		// falls through to an uncheckpointed run rather than failing the
-		// sweep; the divergence-map tests keep this path unreachable for
+		// sweep; the checkpoint key tests keep this path unreachable for
 		// the runner's own configs.
 	}
 	if r.o.Traces != nil {
@@ -118,7 +118,7 @@ func (r *runner) runSeries(cfg engine.Config, p trace.Profile, sampled bool, int
 			snap := sampler.Snapshot()
 			series = &snap
 		}
-		return res, series, c.Cancel == nil || !c.Cancel()
+		return res, series, c.Cancel == nil || c.Cancel.Err() == nil
 	}
 	if r.o.Memo == nil {
 		res, series, _ := exec()

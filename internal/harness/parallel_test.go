@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -117,7 +118,7 @@ func TestDriversThreadCancel(t *testing.T) {
 		mu.Lock()
 		driver = id
 		mu.Unlock()
-		All()[id](Options{Instructions: 20_000, Benches: []string{"gamess"}, Cancel: func() bool { return false }})
+		All()[id](Options{Instructions: 20_000, Benches: []string{"gamess"}, Cancel: context.Background()})
 	}
 	if len(missed) > 0 {
 		t.Errorf("drivers ran the engine without Options.Cancel: %v", missed)

@@ -21,7 +21,7 @@ import (
 func TestJobSpanTree(t *testing.T) {
 	var logBuf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&logBuf, nil))
-	tr := obs.New(obs.Config{Log: log})
+	tr := obs.New(obs.Config{})
 	s, w := newTestService(t, Config{Workers: 1, Tracer: tr, Log: log})
 	j, err := s.Submit(Spec{Kind: KindSweep, Benches: []string{"gamess"},
 		Schemes: []string{"pipeline", "o3"}, Instructions: 40_000, NoTelemetry: true})

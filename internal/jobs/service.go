@@ -615,7 +615,7 @@ func (s *Service) runExperiment(ctx context.Context, j *Job) (*registry.JobResul
 		Memo:         s.cfg.Memo,
 		Traces:       s.cfg.Traces,
 		Probe:        s.cfg.Probe,
-		Cancel:       func() bool { return ctx.Err() != nil },
+		Cancel:       ctx,
 	})
 	if err := ctx.Err(); err != nil {
 		// The driver returned, but some of its runs were abandoned

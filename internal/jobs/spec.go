@@ -1,16 +1,17 @@
 // Package jobs is the asynchronous simulation job service: a bounded
 // queue of submitted jobs (recording sweeps, reproduced experiments,
 // crash-injection campaigns) executed by a fixed worker pool, with
-// per-job cancellation and deadlines threaded into the engine's
-// cooperative stop hook, and graceful drain for shutdown. A job runs
-// once: the simulator is deterministic, so a failure would only repeat. cmd/plpserve exposes it as a
-// JSON HTTP API; the queue bound is the service's load shedding — a
-// full queue rejects at submit time (HTTP 429) instead of buffering
-// without limit and falling over under a burst.
+// per-job cancellation and deadlines, and graceful drain for shutdown.
+// A job runs once: the simulator is deterministic, so a failure would
+// only repeat. cmd/plpserve exposes it as a JSON HTTP API; the queue
+// bound is the service's load shedding — a full queue rejects at
+// submit time (HTTP 429) instead of buffering without limit and
+// falling over under a burst.
 //
 // Job-mode runs are cycle-identical to CLI runs: the only engine-side
-// coupling is Config.Cancel, whose unfired polls are proven not to
-// perturb a single cycle (engine and harness equivalence tests).
+// coupling is Config.Cancel, the cooperative stop hook, which gets the
+// job's context as is; its unfired polls are proven not to perturb a
+// single cycle (engine and harness equivalence tests).
 package jobs
 
 import (

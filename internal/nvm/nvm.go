@@ -31,12 +31,12 @@ type Config struct {
 	// channel's sustained write bandwidth: one 64B line per WriteBusNS).
 	// 1200MHz DDR ≈ 19.2 GB/s ≈ 3.33ns per line.
 	WriteBusNS float64
-	// WriteQueue and ReadQueue are the queue capacities (Table III:
-	// 128/64 entries). The write queue bounds how far writes may lag:
-	// a write issued when the queue is full completes only after older
-	// writes drain.
+	// WriteQueue is the write queue's capacity (Table III: 128
+	// entries). It bounds how far writes may lag: a write issued when
+	// the queue is full completes only after older writes drain. Reads
+	// need no queue bound: they schedule per bank with absolute
+	// priority.
 	WriteQueue int
-	ReadQueue  int
 }
 
 // DefaultConfig returns the paper's Table III NVM parameters for a
@@ -49,7 +49,6 @@ func DefaultConfig() Config {
 		Banks:       16,
 		WriteBusNS:  3.34, // 1200MHz DDR channel ≈ 19.2 GB/s
 		WriteQueue:  128,
-		ReadQueue:   64,
 	}
 }
 

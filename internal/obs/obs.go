@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,10 +101,6 @@ type Config struct {
 	// object per span (flat, not nested) the moment its root span ends
 	// — the offline-analysis export. Writes are serialized.
 	JSONL io.Writer
-	// Log, when non-nil, receives a structured record for every span
-	// event and every finished root span, correlated with the trace ID
-	// and owner key. Nil logs nothing.
-	Log *slog.Logger
 	// Now is the clock seam (tests); nil means time.Now.
 	Now func() time.Time
 }
@@ -116,7 +111,6 @@ type Tracer struct {
 	cap   int
 	now   func() time.Time
 	jsonl io.Writer
-	log   *slog.Logger
 
 	mu     sync.Mutex
 	traces map[string]*traceRec
@@ -129,8 +123,6 @@ type Tracer struct {
 // the tree (spans are created and mutated by worker goroutines while
 // HTTP handlers snapshot them).
 type traceRec struct {
-	key string
-
 	mu    sync.Mutex
 	spans []*Span // insertion order; spans[0] is the root
 }
@@ -147,7 +139,6 @@ func New(cfg Config) *Tracer {
 		cap:    cfg.Capacity,
 		now:    cfg.Now,
 		jsonl:  cfg.JSONL,
-		log:    cfg.Log,
 		traces: make(map[string]*traceRec),
 	}
 }
@@ -202,7 +193,7 @@ func (t *Tracer) StartRoot(key, name string, parent SpanContext, attrs ...Attr) 
 	}
 	sp := &Span{
 		tracer: t,
-		rec:    &traceRec{key: key},
+		rec:    &traceRec{},
 		name:   name,
 		id:     randSpanID(),
 		start:  t.now(),
@@ -249,9 +240,7 @@ func (sp *Span) Child(name string, attrs ...Attr) *Span {
 	return c
 }
 
-// Event records a timestamped annotation on the span and, when the
-// tracer has a logger, emits a correlated structured log record
-// (trace ID, span, owner key, the event's attributes).
+// Event records a timestamped annotation on the span.
 func (sp *Span) Event(name string, attrs ...Attr) {
 	if sp == nil {
 		return
@@ -260,14 +249,6 @@ func (sp *Span) Event(name string, attrs ...Attr) {
 	sp.rec.mu.Lock()
 	sp.events = append(sp.events, Event{Name: name, Time: now, Attrs: attrs})
 	sp.rec.mu.Unlock()
-	if l := sp.tracer.log; l != nil {
-		args := make([]any, 0, 2*(len(attrs)+3))
-		args = append(args, "job", sp.rec.key, "trace", sp.traceID.String(), "span", sp.name)
-		for _, a := range attrs {
-			args = append(args, a.Key, a.Value)
-		}
-		l.Info(name, args...)
-	}
 }
 
 // SetAttr adds attributes to the span (e.g. results known only after
@@ -282,7 +263,7 @@ func (sp *Span) SetAttr(attrs ...Attr) {
 }
 
 // End closes the span. Ending the root span finishes the trace: it is
-// exported to the tracer's JSONL sink (if any) and logged. End is
+// exported to the tracer's JSONL sink (if any). End is
 // idempotent; events and attributes added after End are dropped
 // silently by snapshot consumers reading the end timestamp.
 func (sp *Span) End() {
@@ -296,15 +277,7 @@ func (sp *Span) End() {
 	}
 	root := sp.rec.spans[0] == sp
 	sp.rec.mu.Unlock()
-	if !root {
-		return
-	}
-	if l := sp.tracer.log; l != nil {
-		l.Info("trace finished",
-			"job", sp.rec.key, "trace", sp.traceID.String(),
-			"spans", sp.rec.count(), "duration", sp.end.Sub(sp.start).String())
-	}
-	if sp.tracer.jsonl != nil {
+	if root && sp.tracer.jsonl != nil {
 		sp.tracer.exportJSONL(sp.rec)
 	}
 }
@@ -315,12 +288,6 @@ func (sp *Span) Context() SpanContext {
 		return SpanContext{}
 	}
 	return SpanContext{TraceID: sp.traceID, SpanID: sp.id}
-}
-
-func (r *traceRec) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
 }
 
 // ---------------------------------------------------------------------

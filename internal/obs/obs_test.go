@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -165,23 +164,6 @@ func TestJSONLExport(t *testing.T) {
 	check("WriteJSONL", out.Bytes())
 	if err := tr.WriteJSONL("nonesuch", &out); err == nil {
 		t.Fatal("WriteJSONL of an unknown trace did not error")
-	}
-}
-
-// TestEventLogging checks events emit correlated slog records.
-func TestEventLogging(t *testing.T) {
-	var buf bytes.Buffer
-	log := slog.New(slog.NewTextHandler(&buf, nil))
-	tr := New(Config{Log: log})
-	root := tr.StartRoot("j7", "job", SpanContext{})
-	root.Event("retry", Int("attempt", 2))
-	root.End()
-	out := buf.String()
-	for _, want := range []string{"msg=retry", "job=j7", "attempt=2",
-		"trace=" + root.Context().TraceID.String(), `msg="trace finished"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log output missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -205,8 +205,7 @@ func (s *Session) Run() (SimResult, error) {
 	if s.ctx.Done() != nil {
 		// Only a cancellable context installs the hook: background
 		// sessions keep the engine's exact no-hook code path.
-		ctx := s.ctx
-		cfg.Cancel = func() bool { return ctx.Err() != nil }
+		cfg.Cancel = s.ctx
 	}
 	cfg.Observer = s.observer()
 	if s.log != nil {

@@ -63,6 +63,8 @@ func TestSessionEquivalence(t *testing.T) {
 // TestSessionErrors checks configuration mistakes surface as errors
 // from NewSession, never panics from Run.
 func TestSessionErrors(t *testing.T) {
+	negBanks := plp.SimConfig{Scheme: plp.SP}
+	negBanks.NVM.Banks = -1
 	cases := []struct {
 		name string
 		opts []plp.SessionOption
@@ -75,6 +77,8 @@ func TestSessionErrors(t *testing.T) {
 		{"bad config", []plp.SessionOption{
 			plp.WithBenchmark("gcc"),
 			plp.WithConfig(plp.SimConfig{Scheme: plp.SP, CtrCacheKB: 7})}, "" /* any error */},
+		{"negative NVM banks", []plp.SessionOption{
+			plp.WithBenchmark("gcc"), plp.WithConfig(negBanks)}, "NVM Banks"},
 		{"nil context", []plp.SessionOption{
 			plp.WithBenchmark("gcc"), plp.WithContext(nil)}, "WithContext(nil)"},
 	}
