@@ -120,6 +120,17 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
+// Reset empties the cache and zeroes its statistics, leaving it as New
+// built it: every way invalid, the LRU stamps and clock at zero. Tags
+// stay stale, as they do behind any invalid way. OnWriteback is left
+// untouched, as Restore leaves it.
+func (c *Cache) Reset() {
+	clear(c.flags)
+	clear(c.lru)
+	c.lruClock = 0
+	c.Stats = Stats{}
+}
+
 // Name returns the configured cache name.
 func (c *Cache) Name() string { return c.name }
 

@@ -200,11 +200,13 @@ func (c *refCache) Restore(s *refSnapshot) {
 
 // TestCacheMatchesReference drives the Cache and the array-of-structs
 // reference with one seeded random mix of every state-changing call,
-// snapshots and restores included, over direct-mapped, 4- to 32-way
-// and fully associative geometries under both policies. After every
-// call the return values, the OnWriteback sequence, Stats, and the
-// dirty and resident lines (in way order, which pins the placement
-// the victim rule chose) must agree.
+// snapshots, restores and resets included, over direct-mapped, 4- to
+// 32-way and fully associative geometries under both policies. A reset
+// is checked against a freshly built reference, since the engine's run
+// arenas reset a cache instead of building a new one. After every call
+// the return values, the OnWriteback sequence, Stats, and the dirty and
+// resident lines (in way order, which pins the placement the victim
+// rule chose) must agree.
 func TestCacheMatchesReference(t *testing.T) {
 	geoms := []struct{ sets, ways int }{{16, 1}, {16, 4}, {16, 8}, {8, 16}, {4, 32}, {1, 64}}
 	for _, geo := range geoms {
@@ -256,10 +258,18 @@ func checkAgainstReference(t *testing.T, sets, ways int, policy Policy, seed uin
 			ref.CleanLine(l)
 		case x < 940:
 			call, g, w = "Invalidate", c.Invalidate(l), ref.Invalidate(l)
-		case x < 945:
+		case x < 942:
 			call = "FlushAll"
 			c.FlushAll()
 			ref.FlushAll()
+		case x < 945:
+			// The reset cache keeps its OnWriteback wiring; the fresh
+			// reference gets the same one.
+			call = "Reset"
+			c.Reset()
+			onWB := ref.OnWriteback
+			ref = newRef(sets, ways, policy)
+			ref.OnWriteback = onWB
 		case x < 970:
 			call = "Snapshot"
 			snap, refSnap = c.Snapshot(), ref.Snapshot()

@@ -52,10 +52,33 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestArenaRunAllocs guards what the arena saves a repeated run: on an
+// arena primed by the same run, a run of any scheme finds its caches
+// and its stream there and allocates under 64 KB, only the per-run
+// models (it allocated about 1.4 MB of cache arrays before the arena
+// kept them).
+func TestArenaRunAllocs(t *testing.T) {
+	p, _ := trace.ProfileByName("gcc")
+	const bound = 64 << 10
+	for _, s := range AllSchemes() {
+		cfg := Config{Scheme: s, Instructions: 100_000, Arena: NewArena()}
+		Run(cfg, p)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Run(cfg, p)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("%s: a repeated run on a primed arena allocated %d bytes, bound %d", s, got, bound)
+		}
+	}
+}
+
 // BenchmarkEngineStoreLoop measures the per-scheme hot loop: one full
 // simulation per iteration on a pooled arena, so steady-state cost
-// (not setup) dominates. b.ReportAllocs surfaces the alloc count the
-// test above guards.
+// (not setup) dominates; every iteration replays the arena's
+// recording of the stream instead of generating it. b.ReportAllocs
+// surfaces the alloc count the tests above guard.
 func BenchmarkEngineStoreLoop(b *testing.B) {
 	p, _ := trace.ProfileByName("gcc")
 	for _, s := range Schemes() {

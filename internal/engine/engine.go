@@ -160,9 +160,11 @@ type Config struct {
 
 	// Arena, when non-nil, supplies the run's large reusable hot-path
 	// buffers (write-merge table, epoch membership set, precomputed
-	// BMT path table, trace batch buffer). Sweeps executing many runs
-	// hand each worker one arena so the ~100MB of metadata allocates
-	// once instead of once per run; results are bit-identical either
+	// BMT path table, trace batch buffer, the machine's caches) and,
+	// to Run, a recording of the profile's op stream. Sweeps executing
+	// many runs hand each worker one arena so the ~100MB of metadata
+	// allocates once instead of once per run and a profile's stream is
+	// generated once for all its runs; results are bit-identical either
 	// way. An arena must not be shared by concurrent runs. Nil
 	// allocates private buffers.
 	Arena *Arena
@@ -452,10 +454,7 @@ func newMachine(cfg Config) *machine {
 	}
 	m.macPipe = sim.Resource{Latency: cfg.MACLatency, Initiation: 1}
 	m.macVerify = sim.Resource{Latency: cfg.MACLatency, Initiation: 1}
-	m.ctrCache = newMDC("ctr", cfg.CtrCacheKB, cfg.MDCWays)
-	m.macCache = newMDC("mac", cfg.MACCacheKB, cfg.MDCWays)
-	m.bmtCache = newMDC("bmt", cfg.BMTCacheKB, cfg.MDCWays)
-	m.data = hier.Default(cfg.LLCKB, cfg.LLCWays)
+	m.ctrCache, m.macCache, m.bmtCache, m.data = m.ar.caches(cfg)
 	m.aliasBlocks = uint64(trace.TotalBlocks)
 	if covered := m.topo.Leaves() * addr.BlocksPerPage; m.aliasBlocks > covered {
 		m.aliasBlocks = covered
@@ -737,8 +736,13 @@ func (m *machine) verifyRead(b addr.Block, at sim.Cycle) {
 	}
 }
 
-// Run simulates profile prof under cfg.
+// Run simulates profile prof under cfg. With an arena, the run reads
+// prof's stream from the arena's recording, recording what it reads
+// first (see Arena); without one it generates the stream privately.
 func Run(cfg Config, prof trace.Profile) Result {
+	if cfg.Arena != nil {
+		return RunSource(cfg, prof.Name, prof.IPC, cfg.Arena.rec.Reader(prof))
+	}
 	return RunSource(cfg, prof.Name, prof.IPC, trace.NewGenerator(prof))
 }
 

@@ -32,29 +32,68 @@ func TestBatchedSourceEquivalence(t *testing.T) {
 	}
 }
 
-// TestArenaEquivalence reruns each scheme with a shared, already-dirty
-// arena and requires full Result equality with the arena-free run:
-// buffer reuse across runs of different schemes must not leak state.
-func TestArenaEquivalence(t *testing.T) {
-	p, _ := trace.ProfileByName("leslie3d")
+// TestArenaReuseEquivalence runs one arena through a sequence that
+// changes everything the arena carries from run to run, and requires
+// every Result to equal the same config run without an arena. The
+// sequence runs every scheme on three benchmarks in turn, so each
+// benchmark's recording is made by one run and replayed by the rest,
+// at run lengths above what is recorded (extending it) and below. It
+// mixes in warm-up, full-memory and read-verification runs and a
+// different LLC and metadata-cache geometry (new caches, then reset
+// ones); then two custom profiles that share a name and a seed but not
+// their rates; then, unless -short, a run past RecordingCap.
+func TestArenaReuseEquivalence(t *testing.T) {
 	ar := NewArena()
-	schemes := AllSchemes()
-	for _, s := range schemes {
-		cfg := Config{Scheme: s, Instructions: 60_000}
+	check := func(cfg Config, p trace.Profile) {
+		t.Helper()
 		clean := Run(cfg, p)
 		cfg.Arena = ar
-		pooled := Run(cfg, p)
-		if !reflect.DeepEqual(clean, pooled) {
-			t.Errorf("%s: arena-backed result differs from arena-free run", s)
+		if got := Run(cfg, p); !reflect.DeepEqual(clean, got) {
+			t.Fatalf("%s on %s (%+v): arena-backed result differs from arena-free run", cfg.Scheme, p.Name, cfg)
+		}
+		if !ar.Holds(p) {
+			t.Fatalf("%s on %s: arena does not hold the profile it ran", cfg.Scheme, p.Name)
 		}
 	}
-	// Run the epoch scheme twice more on the same arena: the epoch
-	// generation set must self-clean across runs.
-	cfg := Config{Scheme: SchemeCoalescing, Instructions: 60_000, Arena: ar}
-	first := Run(cfg, p)
-	second := Run(cfg, p)
-	if !reflect.DeepEqual(first, second) {
-		t.Error("coalescing: consecutive runs on one arena diverge")
+	for _, name := range []string{"gcc", "gamess", "milc"} {
+		p, _ := trace.ProfileByName(name)
+		for i, s := range AllSchemes() {
+			cfg := Config{Scheme: s, Instructions: []uint64{60_000, 100_000, 40_000}[i%3]}
+			switch i % 6 {
+			case 1:
+				// Long enough to write dirty lines out of the LLC that
+				// secure_WB, the scheme before, left wired to its hook.
+				cfg.Warmup = 300_000
+			case 2:
+				cfg.FullMemory = true
+			case 3:
+				cfg.ReadVerification = true
+			case 4:
+				// Warm-up is what reads the LLC outside secure_WB.
+				cfg.LLCKB, cfg.LLCWays, cfg.Warmup = 1024, 16, 100_000
+			case 5:
+				cfg.CtrCacheKB, cfg.BMTCacheKB, cfg.MDCWays = 32, 64, 4
+			}
+			check(cfg, p)
+		}
+	}
+	kvA, errA := trace.ParseProfileSpec("stores=80,distinct=30,wb=5,thrash=1")
+	kvB, errB := trace.ParseProfileSpec("stores=60,distinct=30,wb=5,thrash=1")
+	if errA != nil || errB != nil || kvA.Name != kvB.Name || kvA.Seed != kvB.Seed {
+		t.Fatalf("custom profiles: %v %v %+v %+v", errA, errB, kvA, kvB)
+	}
+	for _, p := range []trace.Profile{kvA, kvB, kvA} {
+		check(Config{Scheme: SchemePipeline, Instructions: 50_000}, p)
+	}
+	if testing.Short() {
+		return
+	}
+	// gcc makes about 0.4 ops per instruction, so 12M instructions read
+	// past the cap.
+	gcc, _ := trace.ProfileByName("gcc")
+	check(Config{Scheme: SchemePipeline, Instructions: 12_000_000}, gcc)
+	if got := ar.rec.Ops(); got != trace.RecordingCap {
+		t.Fatalf("recording holds %d ops after a run past the cap, want %d", got, trace.RecordingCap)
 	}
 }
 

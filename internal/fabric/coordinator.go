@@ -625,15 +625,15 @@ func (c *Coordinator) RunSweep(ctx context.Context, sw Sweep, span *obs.Span, on
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	d := &dispatchState{
-		c:        c,
-		units:    units,
-		span:     span,
-		pending:  make([]int, len(units)),
-		leases:   make(map[int]*lease),
-		shards:   make(map[int]*registry.File, len(units)),
+		c:         c,
+		units:     units,
+		span:      span,
+		pending:   make([]int, len(units)),
+		leases:    make(map[int]*lease),
+		shards:    make(map[int]*registry.File, len(units)),
 		remaining: len(units),
-		runners:  make(map[string]bool),
-		onCommit: onCommit,
+		runners:   make(map[string]bool),
+		onCommit:  onCommit,
 	}
 	for i := range units {
 		d.pending[i] = i

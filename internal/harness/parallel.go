@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"sync"
 
 	"plp/internal/engine"
@@ -26,36 +27,72 @@ var (
 	engineResume    = (*engine.Checkpoint).Resume
 )
 
-// arenaPool shares engine arenas across the fan-out workers: each run
-// borrows one, so a sweep's big hot-path buffers (write-merge table,
-// epoch set, BMT path table — ~100MB each) allocate once per worker
-// instead of once per run. Results are bit-identical either way.
-var arenaPool = sync.Pool{New: func() any { return engine.NewArena() }}
+// idleArenas lends engine arenas to runs, so a sweep's big hot-path
+// buffers (write-merge table, epoch set, BMT path table — ~100MB each)
+// and its caches allocate once per worker instead of once per run, and
+// the schemes a worker runs on one benchmark share one recording of
+// its stream. It holds every arena no run is using, oldest release
+// first, so it grows only to the largest number of runs that were ever
+// in flight at once. Results are bit-identical whichever arena a run
+// gets.
+type idleArenas struct {
+	mu   sync.Mutex
+	idle []*engine.Arena
+}
+
+// arenas is the process's one idle list, shared by every runner, as
+// the sync.Pool before it was: a job service runs one sweep per job,
+// and its arenas must outlive each sweep.
+var arenas idleArenas
+
+// get takes the idle arena that holds p's recording; if none does,
+// the one idle longest; if none is idle, a new one.
+func (l *idleArenas) get(p trace.Profile) *engine.Arena {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.idle) == 0 {
+		return engine.NewArena()
+	}
+	i := slices.IndexFunc(l.idle, func(a *engine.Arena) bool { return a.Holds(p) })
+	if i < 0 {
+		i = 0
+	}
+	a := l.idle[i]
+	l.idle = slices.Delete(l.idle, i, i+1)
+	return a
+}
+
+// put returns an arena its run has finished with.
+func (l *idleArenas) put(a *engine.Arena) {
+	l.mu.Lock()
+	l.idle = append(l.idle, a)
+	l.mu.Unlock()
+}
 
 // runPooled executes one simulation with a pooled arena attached.
 func runPooled(cfg engine.Config, p trace.Profile) engine.Result {
-	ar := arenaPool.Get().(*engine.Arena)
+	ar := arenas.get(p)
 	cfg.Arena = ar
 	res := engineRun(cfg, p)
-	arenaPool.Put(ar)
+	arenas.put(ar)
 	return res
 }
 
 // runPooledSource is runPooled over an explicit op source (a trace
-// store replay instead of a fresh generator).
+// store replay instead of the arena's recording).
 func runPooledSource(cfg engine.Config, p trace.Profile, src trace.Source) engine.Result {
-	ar := arenaPool.Get().(*engine.Arena)
+	ar := arenas.get(p)
 	cfg.Arena = ar
 	res := engineRunSource(cfg, p.Name, p.IPC, src)
-	arenaPool.Put(ar)
+	arenas.put(ar)
 	return res
 }
 
 // cold executes one simulation without consulting the result memo,
 // picking the cheapest correct path: resume a shared warm-up
 // checkpoint when one applies, replay a shared trace batch when the
-// store is enabled, else generate the trace privately. All three are
-// bit-identical (equivalence-pinned).
+// store is enabled, else read the stream from the arena's recording.
+// All three are bit-identical (equivalence-pinned).
 func (r *runner) cold(cfg engine.Config, p trace.Profile) engine.Result {
 	n := cfg.Normalized()
 	total := n.Instructions + n.Warmup
@@ -67,10 +104,10 @@ func (r *runner) cold(cfg engine.Config, p trace.Profile) engine.Result {
 			return trace.NewGenerator(p)
 		})
 		if err == nil {
-			ar := arenaPool.Get().(*engine.Arena)
+			ar := arenas.get(p)
 			cfg.Arena = ar
 			res, err := engineResume(ck, cfg)
-			arenaPool.Put(ar)
+			arenas.put(ar)
 			if err == nil {
 				return res
 			}

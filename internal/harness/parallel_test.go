@@ -147,3 +147,34 @@ func TestAttribDriver(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleArenasChoice pins the idle list's choice rule: a run gets the
+// idle arena that holds its profile's recording, else the arena idle
+// longest, else a new one.
+func TestIdleArenasChoice(t *testing.T) {
+	gcc, _ := trace.ProfileByName("gcc")
+	gamess, _ := trace.ProfileByName("gamess")
+	milc, _ := trace.ProfileByName("milc")
+	holding := func(p trace.Profile) *engine.Arena {
+		a := engine.NewArena()
+		engine.Run(engine.Config{Scheme: engine.SchemeSP, Instructions: 1000, Arena: a}, p)
+		return a
+	}
+	var l idleArenas
+	a, b := holding(gcc), holding(gamess)
+	l.put(a)
+	l.put(b)
+	if l.get(gamess) != b {
+		t.Fatal("the arena holding gamess was passed over for one idle longer")
+	}
+	l.put(b)
+	if l.get(milc) != a {
+		t.Fatal("with no arena holding milc, the one idle longest was not taken")
+	}
+	if l.get(milc) != b {
+		t.Fatal("the last idle arena was not taken")
+	}
+	if c := l.get(gcc); c == a || c == b {
+		t.Fatal("an empty list handed out an arena already lent")
+	}
+}

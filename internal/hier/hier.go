@@ -90,6 +90,17 @@ func (h *Hierarchy) Access(l cache.Line, write bool) int {
 	return len(h.levels)
 }
 
+// Reset empties every level, zeroes MemReads and drops
+// OnMemWriteback, leaving the hierarchy as New built it; the wiring
+// between levels stays.
+func (h *Hierarchy) Reset() {
+	for _, c := range h.levels {
+		c.Reset()
+	}
+	h.MemReads = 0
+	h.OnMemWriteback = nil
+}
+
 // FlushAll drains every level, cascading dirty lines downward and out.
 func (h *Hierarchy) FlushAll() {
 	for _, c := range h.levels {

@@ -31,7 +31,9 @@ func refAccess(h *Hierarchy, l cache.Line, write bool) int {
 // the same resident and dirty lines per level at the end. The stream
 // mixes an L1-sized hot set, an L2-sized warm set and a cold range far
 // beyond the LLC, so hits land at every depth and dirty lines cascade
-// to memory.
+// to memory. Halfway through, the hierarchy is reset and the reference
+// replaced by a freshly built one: a reset hierarchy, as the engine's
+// run arenas reuse it, must behave like a new one.
 func TestAccessMatchesReference(t *testing.T) {
 	for _, llc := range []struct{ kb, ways int }{{4096, 32}, {256, 16}} {
 		t.Run(fmt.Sprintf("llc%dKB", llc.kb), func(t *testing.T) {
@@ -44,6 +46,15 @@ func TestAccessMatchesReference(t *testing.T) {
 			depths := make([]int, len(h.levels)+1)
 			memWritebacks := 0
 			for i := 0; i < 400_000; i++ {
+				if i == 200_000 {
+					h.Reset()
+					if h.OnMemWriteback != nil || h.MemReads != 0 {
+						t.Fatal("Reset kept OnMemWriteback or MemReads")
+					}
+					ref = Default(llc.kb, llc.ways)
+					h.OnMemWriteback = func(l cache.Line) { got = append(got, l) }
+					ref.OnMemWriteback = func(l cache.Line) { want = append(want, l) }
+				}
 				var l cache.Line
 				switch x := r.Intn(10); {
 				case x < 5:

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"sync"
 	"unsafe"
 )
@@ -31,32 +32,36 @@ type Key struct {
 // opBytes is the in-memory footprint of one Op, for byte accounting.
 var opBytes = uint64(unsafe.Sizeof(Op{}))
 
+// batchOverhead is the fixed part of a batch's byte accounting.
+const batchOverhead = 512
+
 // Batch is an immutable materialized prefix of one profile's op
 // stream: every op up to (and including the first op crossing) the
-// keyed instruction budget, plus the generator state just past the
-// last op so replays can continue seamlessly beyond the materialized
-// region. A batch is safe for any number of concurrent Replays.
+// keyed instruction budget, or fewer when a byte bound caps it, plus
+// the generator state just past the last op so replays can continue
+// seamlessly beyond the materialized region. A batch is safe for any
+// number of concurrent Replays.
 type Batch struct {
-	key    Key
-	ops    []Op
-	instrs uint64 // instructions represented by ops
-	tail   CloneableSource
+	key  Key
+	ops  []Op
+	tail *Generator
 }
 
 // MaterializeBatch generates profile p's op stream up to the
 // instruction budget and freezes it. The op sequence is bit-identical
 // to what a fresh Generator hands a run of the same budget.
 func MaterializeBatch(p Profile, instructions uint64) *Batch {
+	return materialize(p, instructions, math.MaxInt)
+}
+
+// materialize is MaterializeBatch holding at most maxOps ops.
+func materialize(p Profile, instructions uint64, maxOps int) *Batch {
 	g := NewGenerator(p)
-	b := &Batch{key: Key{Bench: p.Name, Seed: p.Seed, Instructions: instructions}}
-	// Mirror Generator.Fill's stopping rule: produce while the
-	// instruction count is below the budget.
-	for g.Instructions < instructions {
-		b.ops = append(b.ops, g.Next())
+	return &Batch{
+		key:  Key{Bench: p.Name, Seed: p.Seed, Instructions: instructions},
+		ops:  record(g, nil, instructions, maxOps),
+		tail: g,
 	}
-	b.instrs = g.Instructions
-	b.tail = g
-	return b
 }
 
 // Key returns the batch's content key.
@@ -66,7 +71,7 @@ func (b *Batch) Key() Key { return b.key }
 func (b *Batch) Ops() int { return len(b.ops) }
 
 // Bytes returns the batch's approximate memory footprint.
-func (b *Batch) Bytes() uint64 { return uint64(len(b.ops))*opBytes + 512 }
+func (b *Batch) Bytes() uint64 { return uint64(len(b.ops))*opBytes + batchOverhead }
 
 // Replay returns a fresh Source over the batch, positioned at the
 // start. Replays are independent; a batch serves any number of
@@ -154,7 +159,10 @@ const DefaultStoreBytes = 256 << 20
 // first users of a key share a single materialization (singleflight);
 // when resident bytes exceed the bound, least-recently-used entries
 // are dropped — evicted batches stay valid for the replays already
-// holding them, they just leave the index. Safe for concurrent use.
+// holding them, they just leave the index. A batch holds at most the
+// bound's worth of ops, so even the entry just built fits: a longer
+// run replays the batch and continues from its tail generator. Safe
+// for concurrent use.
 type Store struct {
 	mu      sync.Mutex
 	max     uint64
@@ -197,7 +205,7 @@ func (s *Store) Get(p Profile, instructions uint64) *Batch {
 	e.lastUse = s.clock
 	s.mu.Unlock()
 	e.once.Do(func() {
-		e.batch = MaterializeBatch(p, instructions)
+		e.batch = materialize(p, instructions, s.maxOps())
 		s.mu.Lock()
 		e.bytes = e.batch.Bytes()
 		s.bytes += e.bytes
@@ -205,6 +213,14 @@ func (s *Store) Get(p Profile, instructions uint64) *Batch {
 		s.mu.Unlock()
 	})
 	return e.batch
+}
+
+// maxOps is how many ops one batch may hold within the byte bound.
+func (s *Store) maxOps() int {
+	if s.max <= batchOverhead {
+		return 0
+	}
+	return int(min((s.max-batchOverhead)/opBytes, math.MaxInt))
 }
 
 // evictLocked drops least-recently-used materialized entries (never

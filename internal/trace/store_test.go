@@ -177,3 +177,26 @@ func TestOpSize(t *testing.T) {
 		t.Fatalf("trace.Op is %d bytes, want 16", opBytes)
 	}
 }
+
+// TestStoreBatchWithinBound: a batch holds at most its store's bound of
+// ops, so even the entry just built keeps the store within its bound.
+// The replay of the capped batch still equals a fresh generator op for
+// op, and in Progress, up to the run length: past the batch it goes on
+// from the batch's tail generator.
+func TestStoreBatchWithinBound(t *testing.T) {
+	p, _ := ProfileByName("gcc")
+	const bound, instr = 4 << 20, 2_000_000
+	s := NewStore(bound)
+	b := s.Get(p, instr)
+	if got := s.Stats().Bytes; got > bound {
+		t.Fatalf("a %d-instruction batch left the store at %d bytes, bound %d", instr, got, bound)
+	}
+	g, r := NewGenerator(p), b.Replay()
+	for i := 0; r.Progress() < instr; i++ {
+		want, got := g.Next(), r.Next()
+		if want != got || g.Progress() != r.Progress() {
+			t.Fatalf("op %d (batch holds %d): replay %+v at %d, generator %+v at %d",
+				i, b.Ops(), got, r.Progress(), want, g.Progress())
+		}
+	}
+}
