@@ -10,7 +10,10 @@
 // discrete-event simulator that drives it.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Policy selects the write policy.
 type Policy uint8
@@ -54,16 +57,31 @@ func (s Stats) HitRate() float64 {
 // Cache is a set-associative tag store. Way state is kept as three
 // parallel arrays of sets*waysPer entries, row-major by set, so a
 // lookup scans only a set's tags (an 8-way set is one 64-byte host
-// line) and victim selection scans only its flags and stamps.
+// line) and victim selection scans only its stamps.
+//
+// A way's LRU stamp carries the clock of its last use in its high
+// bits and the way's own index in the low bits.Len(lines-1) bits, so
+// stamps are distinct and order ways by recency, and the smallest stamp
+// of a set names its LRU way outright. The clock is kept shifted into
+// place: each touch adds clockStep. A cache holds at most MaxLines
+// lines, so the clock keeps at least 41 bits and cannot wrap within
+// 2^40 touches.
 type Cache struct {
-	name     string
-	sets     int
-	waysPer  int
-	policy   Policy
-	lruClock uint64
-	tags     []Line   // line held by each way; meaningful only while valid
-	lru      []uint64 // per-way use stamp; larger = more recently used
-	flags    []uint8  // per-way valid/dirty bits
+	name      string
+	sets      int
+	waysPer   int
+	policy    Policy
+	clockStep uint64   // 1<<bits.Len(lines-1): one clock tick in a stamp
+	lruClock  uint64   // the newest stamp's clock bits
+	tags      []Line   // line held by each way; meaningful only while valid
+	lru       []uint64 // per-way use stamp; larger = more recently used
+	flags     []uint8  // per-way valid/dirty bits
+	nvalid    []uint32 // valid ways per set
+	// last is the way touched most recently, which holds the cache's
+	// newest stamp, and lastLine its line; last is -1 once that way
+	// was invalidated (and after New, Reset or Restore).
+	last     int
+	lastLine Line
 
 	// OnWriteback, if set, is invoked with each dirty line as it is
 	// evicted (write-back policy only).
@@ -71,6 +89,10 @@ type Cache struct {
 
 	Stats Stats
 }
+
+// MaxLines bounds a cache's capacity in lines (512 MB of 64-byte
+// lines). It keeps the LRU clock in stamps at least 41 bits wide.
+const MaxLines = 1 << 23
 
 // Config describes a cache geometry.
 type Config struct {
@@ -99,14 +121,20 @@ func New(cfg Config) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
 	}
+	if lines > MaxLines {
+		return nil, fmt.Errorf("cache %s: %d lines exceed the %d-line bound", cfg.Name, lines, MaxLines)
+	}
 	return &Cache{
-		name:    cfg.Name,
-		sets:    sets,
-		waysPer: cfg.Ways,
-		policy:  cfg.Policy,
-		tags:    make([]Line, lines),
-		lru:     make([]uint64, lines),
-		flags:   make([]uint8, lines),
+		name:      cfg.Name,
+		sets:      sets,
+		waysPer:   cfg.Ways,
+		policy:    cfg.Policy,
+		clockStep: 1 << bits.Len(uint(lines-1)),
+		tags:      make([]Line, lines),
+		lru:       make([]uint64, lines),
+		flags:     make([]uint8, lines),
+		nvalid:    make([]uint32, sets),
+		last:      -1,
 	}, nil
 }
 
@@ -127,7 +155,9 @@ func MustNew(cfg Config) *Cache {
 func (c *Cache) Reset() {
 	clear(c.flags)
 	clear(c.lru)
+	clear(c.nvalid)
 	c.lruClock = 0
+	c.last = -1
 	c.Stats = Stats{}
 }
 
@@ -160,29 +190,33 @@ func (c *Cache) find(l Line) int {
 	return -1
 }
 
-// victim returns the way to fill in l's set: the first invalid way in
-// index order if any, else the first way with the smallest stamp (the
-// LRU way).
-func (c *Cache) victim(l Line) int {
-	base := c.setOf(l) * c.waysPer
-	for i, f := range c.flags[base : base+c.waysPer] {
-		if f&valid == 0 {
-			return base + i
+// victim returns the way to fill in set: the first invalid way in
+// index order if the set has one, else its LRU way, the one with the
+// smallest stamp. The stamps of a full set are distinct and end in
+// their way's index, so one min pass finds the way without tracking
+// an index beside it.
+func (c *Cache) victim(set int) int {
+	base := set * c.waysPer
+	if int(c.nvalid[set]) < c.waysPer {
+		for i, f := range c.flags[base : base+c.waysPer] {
+			if f&valid == 0 {
+				return base + i
+			}
 		}
 	}
 	lru := c.lru[base : base+c.waysPer]
-	v, oldest := 0, lru[0]
-	for i, stamp := range lru {
-		if stamp < oldest {
-			v, oldest = i, stamp
-		}
+	oldest := lru[0]
+	for _, stamp := range lru[1:] {
+		oldest = min(oldest, stamp)
 	}
-	return base + v
+	return int(oldest & (c.clockStep - 1))
 }
 
-func (c *Cache) touch(w int) {
-	c.lruClock++
-	c.lru[w] = c.lruClock
+// touch gives way w, which holds l, the cache's newest stamp.
+func (c *Cache) touch(w int, l Line) {
+	c.lruClock += c.clockStep
+	c.lru[w] = c.lruClock | uint64(w)
+	c.last, c.lastLine = w, l
 }
 
 // Contains reports whether l is present, without updating LRU or stats.
@@ -197,15 +231,26 @@ func (c *Cache) Dirty(l Line) bool {
 // Access performs a read (write=false) or write (write=true) of line l,
 // filling on miss. It returns hit=true if the line was present.
 // Any dirty line displaced by the fill is delivered to OnWriteback.
+//
+// An access to the line of the way touched last is a hit that needs
+// no lookup and no stamp bump: that way already holds the cache's
+// newest stamp, so bumping it would change no set's LRU order.
 func (c *Cache) Access(l Line, write bool) (hit bool) {
 	if write {
 		c.Stats.Writes++
 	} else {
 		c.Stats.Reads++
 	}
+	if w := c.last; l == c.lastLine && w >= 0 {
+		c.Stats.Hits++
+		if write && c.policy == WriteBack {
+			c.flags[w] |= dirty
+		}
+		return true
+	}
 	if w := c.find(l); w >= 0 {
 		c.Stats.Hits++
-		c.touch(w)
+		c.touch(w, l)
 		if write && c.policy == WriteBack {
 			c.flags[w] |= dirty
 		}
@@ -218,8 +263,11 @@ func (c *Cache) Access(l Line, write bool) (hit bool) {
 
 // fill inserts l, evicting as needed.
 func (c *Cache) fill(l Line, write bool) {
-	v := c.victim(l)
-	if f := c.flags[v]; f&valid != 0 {
+	set := c.setOf(l)
+	v := c.victim(set)
+	if f := c.flags[v]; f&valid == 0 {
+		c.nvalid[set]++
+	} else {
 		c.Stats.Evictions++
 		if f&dirty != 0 {
 			c.Stats.Writebacks++
@@ -233,14 +281,14 @@ func (c *Cache) fill(l Line, write bool) {
 		f |= dirty
 	}
 	c.tags[v], c.flags[v] = l, f
-	c.touch(v)
+	c.touch(v, l)
 }
 
 // Insert fills l without counting an access (e.g. prefetch or fill
 // from a verification path).
 func (c *Cache) Insert(l Line) {
 	if w := c.find(l); w >= 0 {
-		c.touch(w)
+		c.touch(w, l)
 		return
 	}
 	c.fill(l, false)
@@ -260,7 +308,7 @@ func (c *Cache) WritebackFill(l Line) {
 		return
 	}
 	if w := c.find(l); w >= 0 {
-		c.touch(w)
+		c.touch(w, l)
 		c.flags[w] |= dirty
 		return
 	}
@@ -281,6 +329,10 @@ func (c *Cache) Invalidate(l Line) (wasDirty bool) {
 	if w := c.find(l); w >= 0 {
 		wasDirty = c.flags[w]&dirty != 0
 		c.flags[w] = 0
+		c.nvalid[c.setOf(l)]--
+		if w == c.last {
+			c.last = -1
+		}
 	}
 	return wasDirty
 }
@@ -300,6 +352,8 @@ func (c *Cache) FlushAll() {
 			c.flags[i] = 0
 		}
 	}
+	clear(c.nvalid)
+	c.last = -1
 }
 
 // DirtyLines returns all dirty lines currently resident (in no

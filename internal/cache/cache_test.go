@@ -3,6 +3,9 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+
+	"plp/internal/addr"
+	"plp/internal/trace"
 )
 
 func small(policy Policy) *Cache {
@@ -267,6 +270,34 @@ func BenchmarkAccess(b *testing.B) {
 			c := MustNew(Config{Name: "b", SizeBytes: 128 << 10, LineBytes: 64, Ways: 8, Policy: WriteBack})
 			for i := 0; i < b.N; i++ {
 				c.Access(Line(i%bc.lines), i%4 == 0)
+			}
+		})
+	}
+}
+
+// replayOps is how many ops of a profile's stream BenchmarkReplay
+// replays; a power of two, so indexing by i%replayOps costs no division.
+const replayOps = 1 << 20
+
+// BenchmarkReplay sends a 128 KB 8-way counter cache what warm-ups,
+// loads and persists send it: the counter line (page) of each op of a
+// profile's stream, its stores as writes. The first replayOps ops go
+// through once untimed, then round again per op timed. Consecutive
+// ops often share a page, so this is mostly repeat hits.
+func BenchmarkReplay(b *testing.B) {
+	for _, name := range []string{"gamess", "gcc", "milc"} {
+		b.Run(name, func(b *testing.B) {
+			p, _ := trace.ProfileByName(name)
+			ops := make([]trace.Op, replayOps)
+			trace.NewGenerator(p).Fill(ops, ^uint64(0))
+			c := MustNew(Config{Name: "ctr", SizeBytes: 128 << 10, LineBytes: 64, Ways: 8, Policy: WriteBack})
+			for _, op := range ops {
+				c.Access(Line(addr.PageOfBlock(op.Block)), op.Kind == trace.OpStore)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op := ops[i%replayOps]
+				c.Access(Line(addr.PageOfBlock(op.Block)), op.Kind == trace.OpStore)
 			}
 		})
 	}

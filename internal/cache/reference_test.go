@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -200,15 +201,17 @@ func (c *refCache) Restore(s *refSnapshot) {
 
 // TestCacheMatchesReference drives the Cache and the array-of-structs
 // reference with one seeded random mix of every state-changing call,
-// snapshots, restores and resets included, over direct-mapped, 4- to
-// 32-way and fully associative geometries under both policies. A reset
-// is checked against a freshly built reference, since the engine's run
+// snapshots, restores and resets included, over direct-mapped, 3- to
+// 32-way and fully associative geometries under both policies; the 3-,
+// 12- and 20-way sets are there because a victim rule that assumes a
+// power-of-two way count passes every other geometry. A reset is
+// checked against a freshly built reference, since the engine's run
 // arenas reset a cache instead of building a new one. After every call
 // the return values, the OnWriteback sequence, Stats, and the dirty and
 // resident lines (in way order, which pins the placement the victim
 // rule chose) must agree.
 func TestCacheMatchesReference(t *testing.T) {
-	geoms := []struct{ sets, ways int }{{16, 1}, {16, 4}, {16, 8}, {8, 16}, {4, 32}, {1, 64}}
+	geoms := []struct{ sets, ways int }{{16, 1}, {16, 3}, {16, 4}, {16, 8}, {8, 12}, {8, 16}, {4, 20}, {4, 32}, {1, 64}}
 	for _, geo := range geoms {
 		for _, policy := range []Policy{WriteBack, WriteThrough} {
 			t.Run(fmt.Sprintf("%dx%d/policy%d", geo.sets, geo.ways, policy), func(t *testing.T) {
@@ -228,14 +231,19 @@ func checkAgainstReference(t *testing.T, sets, ways int, policy Policy, seed uin
 
 	r := xrand.New(seed)
 	// Lines span three times the capacity, in two far-apart ranges,
-	// so sets see hits, conflicts and stale tags alike.
+	// so sets see hits, conflicts and stale tags alike. A fifth of the
+	// calls repeat the previous call's line, which is what the cache's
+	// repeat-hit path serves.
 	span := 3 * sets * ways
 	var snap *Snapshot
 	var refSnap *refSnapshot
+	var l Line
 	for step := 0; step < 40_000; step++ {
-		l := Line(r.Intn(span))
-		if r.Bool(0.25) {
-			l += 1 << 40
+		if !r.Bool(0.2) {
+			l = Line(r.Intn(span))
+			if r.Bool(0.25) {
+				l += 1 << 40
+			}
 		}
 		var call string
 		var g, w any
@@ -301,5 +309,35 @@ func checkAgainstReference(t *testing.T, sets, ways int, policy Policy, seed uin
 		if !reflect.DeepEqual(c.ResidentLines(), ref.ResidentLines()) {
 			t.Fatalf("step %d %s(%d): resident lines %v, reference %v", step, call, l, c.ResidentLines(), ref.ResidentLines())
 		}
+	}
+}
+
+// TestStampsOutlast2To40Touches pins the stamp encoding's bound. New
+// rejects a cache of more than MaxLines lines, so a way field is at
+// most bits.Len(MaxLines-1) bits wide. With a field that wide and the
+// clock started just short of 2^40 touches, a 12-way cache must still
+// match the reference past the 2^40th touch; a field one bit wider
+// would carry that touch's stamp out of 64 bits and scramble LRU order.
+func TestStampsOutlast2To40Touches(t *testing.T) {
+	if _, err := New(Config{Name: "huge", SizeBytes: 2 * MaxLines * 64, LineBytes: 64, Ways: 2}); err == nil {
+		t.Fatalf("New accepted %d lines, beyond MaxLines", 2*MaxLines)
+	}
+	const sets, ways = 8, 12
+	c := MustNew(Config{Name: "wide", SizeBytes: sets * ways * 64, LineBytes: 64, Ways: ways, Policy: WriteBack})
+	ref := newRef(sets, ways, WriteBack)
+	c.clockStep = 1 << bits.Len(MaxLines-1)
+	c.lruClock = (1<<40 - 2000) * c.clockStep
+	r := xrand.New(40)
+	for step := 0; step < 8000; step++ {
+		l, write := Line(r.Intn(3*sets*ways)), r.Bool(0.3)
+		if g, w := c.Access(l, write), ref.Access(l, write); g != w {
+			t.Fatalf("step %d (clock %d): Access(%d) = %v, reference %v", step, c.lruClock/c.clockStep, l, g, w)
+		}
+	}
+	if c.lruClock/c.clockStep <= 1<<40 {
+		t.Fatalf("the clock stopped at %d, short of 2^40", c.lruClock/c.clockStep)
+	}
+	if c.Stats != ref.Stats || !reflect.DeepEqual(c.ResidentLines(), ref.ResidentLines()) || !reflect.DeepEqual(c.DirtyLines(), ref.DirtyLines()) {
+		t.Fatal("past 2^40 touches the cache's contents differ from the reference")
 	}
 }

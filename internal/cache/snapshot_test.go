@@ -81,9 +81,9 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	if err := wt.Restore(snap); err == nil {
 		t.Fatal("restore across policies must fail")
 	}
-	// 64 ways of an 8-byte tag, an 8-byte stamp and a flag byte, plus
-	// the header allowance.
-	if got, want := snap.Bytes(), uint64(64*17+128); got != want {
+	// 64 ways of an 8-byte tag, an 8-byte stamp and a flag byte, 16
+	// sets of a 4-byte valid count, plus the header allowance.
+	if got, want := snap.Bytes(), uint64(64*17+16*4+128); got != want {
 		t.Fatalf("snapshot footprint %d bytes, want %d", got, want)
 	}
 }

@@ -11,23 +11,14 @@ type Canceler interface{ Err() error }
 // rare enough that the poll never shows up in a profile.
 const cancelPollOps = 4096
 
-// stopNow reports whether the run must halt at this operation: a
-// cooperative cancellation (Config.Cancel). It costs a nil check when
-// no hook is installed and a countdown decrement when one is. It never
+// cancelled polls Config.Cancel, latching cancelStop once it has
+// fired. It costs a nil check when no hook is installed, and it never
 // touches timing state, so a hook that never fires leaves the run
 // bit-identical to one without (pinned by the equivalence tests).
-func (m *machine) stopNow() bool {
-	if m.cfg.Cancel == nil {
+func (m *machine) cancelled() bool {
+	if m.cfg.Cancel == nil || m.cfg.Cancel.Err() == nil {
 		return false
 	}
-	m.cancelLeft--
-	if m.cancelLeft > 0 {
-		return false
-	}
-	m.cancelLeft = cancelPollOps
-	if m.cfg.Cancel.Err() != nil {
-		m.cancelStop = true
-		return true
-	}
-	return false
+	m.cancelStop = true
+	return true
 }

@@ -418,11 +418,9 @@ type machine struct {
 	pttTab   *ptt.Table
 	ettSched *ett.Scheduler
 
-	// Cooperative cancellation (Config.Cancel): cancelLeft counts ops
-	// down to the next poll; cancelStop latches a fired hook so the
-	// run's tail (the epoch schemes' final flush) knows the stop was a
+	// cancelStop latches a fired Config.Cancel hook so the run's tail
+	// (the epoch schemes' final flush) knows the stop was a
 	// cancellation, not a completed trace.
-	cancelLeft int
 	cancelStop bool
 }
 
@@ -489,9 +487,6 @@ func newMachine(cfg Config) *machine {
 			m.mark(CompNVMWrite, d)
 		}
 		return d
-	}
-	if cfg.Cancel != nil {
-		m.cancelLeft = cancelPollOps
 	}
 	return m
 }
@@ -671,16 +666,25 @@ func (m *machine) warm(st *opStream, instrs uint64) {
 
 // warmCaches is the warm-up loop shared by RunSource and checkpoint
 // construction: it streams instructions through the data hierarchy and
-// counter cache without timing. Warm-up state therefore depends on
-// exactly the stream prefix and these two structures' geometry — the
-// fields warmupConfig keeps.
+// counter cache without timing, walking each filled batch in place.
+// Warm-up state therefore depends on exactly the stream prefix and
+// these two structures' geometry — the fields warmupConfig keeps.
 func warmCaches(data *hier.Hierarchy, ctr *cache.Cache, idealMDC bool, st *opStream, instrs uint64) {
-	for st.progress() < instrs {
-		op := st.next()
-		data.Access(cache.Line(op.Block), op.Kind == trace.OpStore)
-		if !idealMDC {
-			ctr.Access(cache.Line(addr.PageOfBlock(op.Block)), false)
+	for st.consumed < instrs {
+		ops := st.ops()
+		if len(ops) == 0 {
+			return
 		}
+		consumed, k := st.consumed, 0
+		for ; k < len(ops) && consumed < instrs; k++ {
+			op := ops[k]
+			consumed += uint64(op.Gap) + 1
+			data.Access(cache.Line(op.Block), op.Kind == trace.OpStore)
+			if !idealMDC {
+				ctr.Access(cache.Line(addr.PageOfBlock(op.Block)), false)
+			}
+		}
+		st.take(k, consumed)
 	}
 }
 

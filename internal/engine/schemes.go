@@ -24,33 +24,51 @@ func cyc(t float64) sim.Cycle {
 // the data hierarchy. A store that must persist goes to the scheme's
 // store step: every store under the write-back baseline or in
 // full-memory mode, else every non-stack store (the paper's default
-// protection mode). The loop ends with the measured region or at a
-// cancellation.
+// protection mode). The loop walks each filled batch of the stream in
+// place and ends with the measured region or at a cancellation: it
+// polls Config.Cancel before every cancelPollOps-th op and stops ahead
+// of that op once the hook has fired.
 func (m *machine) runOps(st *opStream, ipc float64, store func(addr.Block)) {
 	cpi := 1 / ipc
 	writeBack := m.spec.writeBack
 	allStores := writeBack || m.cfg.FullMemory
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow() {
-			break
+	readVerification := m.cfg.ReadVerification
+	end := m.cfg.Instructions
+	poll := cancelPollOps // ops up to and including the next poll
+	for st.consumed < end {
+		ops := st.ops()
+		if len(ops) == 0 {
+			return
 		}
-		op := st.next()
-		m.coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(m.coreTime))
-			} else {
-				m.loadAccess(op.Block)
-				if writeBack {
-					m.data.Access(cache.Line(op.Block), false)
+		consumed, k := st.consumed, 0
+		for ; k < len(ops) && consumed < end; k++ {
+			if poll--; poll == 0 {
+				poll = cancelPollOps
+				if m.cancelled() {
+					st.take(k, consumed)
+					return
 				}
 			}
-			continue
+			op := ops[k]
+			consumed += uint64(op.Gap) + 1
+			m.coreTime += float64(op.Gap+1) * cpi
+			m.att.add(CompCompute, float64(op.Gap+1)*cpi)
+			if op.Kind == trace.OpLoad {
+				if readVerification {
+					m.verifyRead(op.Block, cyc(m.coreTime))
+				} else {
+					m.loadAccess(op.Block)
+					if writeBack {
+						m.data.Access(cache.Line(op.Block), false)
+					}
+				}
+				continue
+			}
+			if allStores || !op.Stack {
+				store(op.Block)
+			}
 		}
-		if allStores || !op.Stack {
-			store(op.Block)
-		}
+		st.take(k, consumed)
 	}
 }
 

@@ -6,66 +6,68 @@ import (
 	"plp/internal/trace"
 )
 
-// opBatch is the number of ops pulled from a BatchSource at a time.
+// opBatch is the number of ops a stream fills at a time.
 const opBatch = 1024
 
-// opStream feeds the scheme runners their operation stream. Sources
-// that implement trace.BatchSource (the synthetic generator) are
-// drained through a reused buffer, amortizing the per-op interface
-// dispatch that otherwise dominates the generator's share of the run;
-// other sources (phased, recorded) fall back to per-op Next calls.
+// opStream feeds the op loops (runOps and warmCaches) their operation
+// stream a batch at a time: a loop walks each filled batch in place, so
+// a run pays one Fill call per batch instead of a call per op. A source
+// without a Fill of its own (phased, recorded) is filled through
+// nextFill, one Next call per op.
 //
-// Batching is invisible to the timing model: progress() counts the
-// instructions of the ops actually handed out (each op spans Gap+1),
-// so runners bound by it consume exactly the op sequence they would
-// have pulled one call at a time.
+// Batching is invisible to the timing model: consumed counts the
+// instructions of the ops handed out (each op spans Gap+1), so a loop
+// bounded by it consumes exactly the op sequence it would have pulled
+// one call at a time.
 type opStream struct {
 	src      trace.Source
-	batch    trace.BatchSource // nil: per-op fallback
+	fill     trace.BatchSource // src's own Fill, or nextFill over src
 	buf      []trace.Op
 	pos, n   int
 	limit    uint64 // total instructions the run will consume (incl. warmup)
-	consumed uint64 // batch mode: instructions represented by ops handed out
+	consumed uint64 // instructions represented by ops handed out
 }
 
 func newOpStream(src trace.Source, limit uint64, buf []trace.Op) *opStream {
-	s := &opStream{src: src, limit: limit}
-	if b, ok := src.(trace.BatchSource); ok && len(buf) > 0 {
-		s.batch, s.buf, s.consumed = b, buf, src.Progress()
+	fill, ok := src.(trace.BatchSource)
+	if !ok {
+		fill = nextFill{src}
 	}
-	return s
+	return &opStream{src: src, fill: fill, buf: buf, limit: limit, consumed: src.Progress()}
 }
 
-// progress returns the instructions represented by the ops handed out
-// so far — the batched equivalent of trace.Source.Progress.
-func (s *opStream) progress() uint64 {
-	if s.batch != nil {
-		return s.consumed
+// nextFill fills a batch from a Source that has no Fill of its own,
+// with the BatchSource stopping rule.
+type nextFill struct{ trace.Source }
+
+func (f nextFill) Fill(buf []trace.Op, limit uint64) int {
+	n := 0
+	for n < len(buf) && f.Progress() < limit {
+		buf[n] = f.Next()
+		n++
 	}
-	return s.src.Progress()
+	return n
 }
 
-func (s *opStream) next() trace.Op {
-	if s.batch == nil {
-		return s.src.Next()
+// ops returns the filled ops not yet handed out, filling the buffer
+// first when it is drained. It is empty only once the source is at
+// the run's limit.
+func (s *opStream) ops() []trace.Op {
+	if s.pos == s.n {
+		s.pos, s.n = 0, s.fill.Fill(s.buf, s.limit)
 	}
-	if s.pos >= s.n {
-		s.n = s.batch.Fill(s.buf, s.limit)
-		s.pos = 0
-		if s.n == 0 {
-			// The source hit the run limit; a caller pulling past it
-			// gets ops directly, matching unbatched behaviour.
-			return s.src.Next()
-		}
-	}
-	op := s.buf[s.pos]
-	s.pos++
-	s.consumed += uint64(op.Gap) + 1
-	return op
+	return s.buf[s.pos:s.n]
+}
+
+// take hands out the first k ops of the last ops() slice, which bring
+// the stream's instruction count to consumed.
+func (s *opStream) take(k int, consumed uint64) {
+	s.pos += k
+	s.consumed = consumed
 }
 
 // checkpoint captures the stream's exact position for later resumption:
-// a positioned clone of the source, the ops already pulled into the
+// a positioned clone of the source, the ops already filled into the
 // batch buffer but not yet handed out, and the instructions consumed so
 // far. The source must be cloneable; the stream itself remains usable.
 func (s *opStream) checkpoint() (src trace.Source, pending []trace.Op, consumed uint64, err error) {
@@ -73,11 +75,8 @@ func (s *opStream) checkpoint() (src trace.Source, pending []trace.Op, consumed 
 	if !ok {
 		return nil, nil, 0, fmt.Errorf("engine: source %T is not checkpointable (no CloneSource)", s.src)
 	}
-	if s.batch == nil {
-		return c.CloneSource(), nil, s.src.Progress(), nil
-	}
-	// In batch mode the source sits past the buffered ops; keep them so
-	// the resumed stream replays them before refilling.
+	// The source sits past the filled ops; keep them so the resumed
+	// stream hands them out before refilling.
 	pending = append([]trace.Op(nil), s.buf[s.pos:s.n]...)
 	return c.CloneSource(), pending, s.consumed, nil
 }
@@ -89,16 +88,9 @@ func (s *opStream) checkpoint() (src trace.Source, pending []trace.Op, consumed 
 // would double-count them.
 func resumeOpStream(src trace.Source, limit uint64, buf []trace.Op, pending []trace.Op, consumed uint64) *opStream {
 	s := newOpStream(src, limit, buf)
-	if s.batch == nil {
-		if len(pending) > 0 {
-			panic(fmt.Sprintf("engine: resuming %T with %d pending batched ops but no batch path", src, len(pending)))
-		}
-		return s
-	}
 	if copy(s.buf, pending) < len(pending) {
 		panic(fmt.Sprintf("engine: resume buffer holds %d ops, checkpoint carries %d", len(s.buf), len(pending)))
 	}
-	s.pos, s.n = 0, len(pending)
-	s.consumed = consumed
+	s.n, s.consumed = len(pending), consumed
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"plp/internal/cache"
+	"plp/internal/trace"
 	"plp/internal/xrand"
 )
 
@@ -168,5 +169,33 @@ func BenchmarkAccess(b *testing.B) {
 	r := xrand.New(2)
 	for i := 0; i < b.N; i++ {
 		h.Access(cache.Line(r.Intn(1<<18)), i%4 == 0)
+	}
+}
+
+// replayOps is how many ops of a profile's stream BenchmarkReplay
+// replays; a power of two, so indexing by i%replayOps costs no division.
+const replayOps = 1 << 20
+
+// BenchmarkReplay sends the paper's data hierarchy what secure_WB and
+// every warm-up send it: each op of a profile's stream, by block, its
+// stores as writes. The first replayOps ops of the stream go through once
+// untimed, then round again per op timed. gamess keeps its loads in
+// the LLC-resident set; gcc and milc stream theirs through it.
+func BenchmarkReplay(b *testing.B) {
+	for _, name := range []string{"gamess", "gcc", "milc"} {
+		b.Run(name, func(b *testing.B) {
+			p, _ := trace.ProfileByName(name)
+			ops := make([]trace.Op, replayOps)
+			trace.NewGenerator(p).Fill(ops, ^uint64(0))
+			h := Default(4096, 32)
+			for _, op := range ops {
+				h.Access(cache.Line(op.Block), op.Kind == trace.OpStore)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op := ops[i%replayOps]
+				h.Access(cache.Line(op.Block), op.Kind == trace.OpStore)
+			}
+		})
 	}
 }

@@ -33,9 +33,10 @@ func refAccess(h *Hierarchy, l cache.Line, write bool) int {
 // beyond the LLC, so hits land at every depth and dirty lines cascade
 // to memory. Halfway through, the hierarchy is reset and the reference
 // replaced by a freshly built one: a reset hierarchy, as the engine's
-// run arenas reuse it, must behave like a new one.
+// run arenas reuse it, must behave like a new one. The LLCs include a
+// 20-way one, whose way count is not a power of two.
 func TestAccessMatchesReference(t *testing.T) {
-	for _, llc := range []struct{ kb, ways int }{{4096, 32}, {256, 16}} {
+	for _, llc := range []struct{ kb, ways int }{{4096, 32}, {256, 16}, {2560, 20}} {
 		t.Run(fmt.Sprintf("llc%dKB", llc.kb), func(t *testing.T) {
 			t.Parallel()
 			h, ref := Default(llc.kb, llc.ways), Default(llc.kb, llc.ways)

@@ -1,7 +1,5 @@
 package trace
 
-import "slices"
-
 // RecordingCap bounds a Recording at 1<<22 ops (64 MB). A reader that
 // runs past it continues from a private clone of the recording's
 // generator, so a recording's memory does not grow with the
@@ -16,10 +14,18 @@ const recordChunk = 1024
 // materialization behind both Batch and Recording: the ops are exactly
 // the ones g would hand a Fill-driven run, and g is left just past the
 // last of them.
+//
+// ops fills its capacity before it grows, and then grows by doubling up
+// to maxOps, so its capacity never exceeds maxOps unless it started
+// above it.
 func record(g *Generator, ops []Op, limit uint64, maxOps int) []Op {
 	for len(ops) < maxOps && g.Instructions < limit {
-		k := min(maxOps-len(ops), recordChunk)
-		ops = slices.Grow(ops, k)
+		if len(ops) == cap(ops) {
+			grown := make([]Op, len(ops), min(max(2*cap(ops), len(ops)+recordChunk), maxOps))
+			copy(grown, ops)
+			ops = grown
+		}
+		k := min(min(cap(ops), maxOps)-len(ops), recordChunk)
 		ops = ops[:len(ops)+g.Fill(ops[len(ops):len(ops)+k], limit)]
 	}
 	return ops

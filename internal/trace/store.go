@@ -54,14 +54,30 @@ func MaterializeBatch(p Profile, instructions uint64) *Batch {
 	return materialize(p, instructions, math.MaxInt)
 }
 
-// materialize is MaterializeBatch holding at most maxOps ops.
+// materialize is MaterializeBatch holding at most maxOps ops. The op
+// slice is presized to the generator's mean op rate, with slack, so it
+// is allocated once rather than regrown as it fills.
 func materialize(p Profile, instructions uint64, maxOps int) *Batch {
 	g := NewGenerator(p)
 	return &Batch{
 		key:  Key{Bench: p.Name, Seed: p.Seed, Instructions: instructions},
-		ops:  record(g, nil, instructions, maxOps),
+		ops:  record(g, make([]Op, 0, g.opsWithin(instructions, maxOps)), instructions, maxOps),
 		tail: g,
 	}
+}
+
+// opsWithin returns the capacity to presize a batch of g's next instrs
+// instructions to, at most maxOps: the mean op count n plus n/64 + 256
+// ops of slack. The count's standard deviation is at most sqrt(n), so
+// the slack covers at least four of them and a batch rarely outgrows
+// it.
+func (g *Generator) opsWithin(instrs uint64, maxOps int) int {
+	want := float64(instrs) / (g.meanGap + 1)
+	want += want/64 + 256
+	if want >= float64(maxOps) {
+		return maxOps
+	}
+	return int(want)
 }
 
 // Key returns the batch's content key.
@@ -70,8 +86,9 @@ func (b *Batch) Key() Key { return b.key }
 // Ops returns the number of materialized operations.
 func (b *Batch) Ops() int { return len(b.ops) }
 
-// Bytes returns the batch's approximate memory footprint.
-func (b *Batch) Bytes() uint64 { return uint64(len(b.ops))*opBytes + batchOverhead }
+// Bytes returns the batch's approximate memory footprint: the op
+// slice's capacity, not just the ops it holds, plus a fixed overhead.
+func (b *Batch) Bytes() uint64 { return uint64(cap(b.ops))*opBytes + batchOverhead }
 
 // Replay returns a fresh Source over the batch, positioned at the
 // start. Replays are independent; a batch serves any number of
@@ -89,36 +106,42 @@ type Replay struct {
 	b      *Batch
 	pos    int
 	instrs uint64
-	tail   Source // non-nil once the replay has run off the batch end
+	tail   *Generator // non-nil once the replay has run off the batch end
 }
 
 // Next produces the next operation, satisfying Source.
 func (r *Replay) Next() Op {
-	if r.pos < len(r.b.ops) {
-		op := r.b.ops[r.pos]
-		r.pos++
-		r.instrs += uint64(op.Gap) + 1
-		return op
-	}
-	if r.tail == nil {
-		r.tail = r.b.tail.CloneSource()
-	}
-	op := r.tail.Next()
-	r.instrs += uint64(op.Gap) + 1
-	return op
+	var op [1]Op
+	r.Fill(op[:], ^uint64(0))
+	return op[0]
 }
 
 // Progress returns the instructions represented so far.
 func (r *Replay) Progress() uint64 { return r.instrs }
 
 // Fill writes ops into buf while Progress() < limit, satisfying
-// BatchSource with exactly Generator.Fill's stopping rule.
+// BatchSource with exactly Generator.Fill's stopping rule. It counts
+// off the batch ops the limit admits and copies them in one go; past
+// the batch end it fills from its clone of the tail generator.
 func (r *Replay) Fill(buf []Op, limit uint64) int {
 	n := 0
-	for n < len(buf) && r.instrs < limit {
-		buf[n] = r.Next()
-		n++
+	if r.tail == nil {
+		src := r.b.ops[r.pos:]
+		src = src[:min(len(src), len(buf))]
+		for ; n < len(src) && r.instrs < limit; n++ {
+			r.instrs += uint64(src[n].Gap) + 1
+		}
+		copy(buf, src[:n])
+		r.pos += n
+		if n == len(buf) || r.instrs >= limit {
+			return n
+		}
+		r.tail = r.b.tail.CloneSource().(*Generator)
 	}
+	// The tail started where the batch ends, so its count is the
+	// replay's.
+	n += r.tail.Fill(buf[n:], limit)
+	r.instrs = r.tail.Instructions
 	return n
 }
 
@@ -126,7 +149,7 @@ func (r *Replay) Fill(buf []Op, limit uint64) int {
 func (r *Replay) CloneSource() Source {
 	c := *r
 	if r.tail != nil {
-		c.tail = r.tail.(CloneableSource).CloneSource()
+		c.tail = r.tail.CloneSource().(*Generator)
 	}
 	return &c
 }

@@ -33,32 +33,43 @@ func TestReplayMatchesGenerator(t *testing.T) {
 }
 
 // TestReplayFillMatchesGeneratorFill: the BatchSource fill path stops
-// at the same limit and yields the same ops as Generator.Fill.
+// at the same limit and yields the same ops as Generator.Fill, across
+// the batch end, for a batch materialized to its budget and for one
+// capped at 700 ops. At least one fill must straddle the end.
 func TestReplayFillMatchesGeneratorFill(t *testing.T) {
 	p := Profiles()[1%len(Profiles())]
 	const budget = 20_000
-	b := MaterializeBatch(p, budget)
-	g := NewGenerator(p)
-	r := b.Replay()
-	// Limit beyond the materialized region to cross the boundary
-	// mid-fill.
-	const limit = 2 * budget
-	gbuf, rbuf := make([]Op, 193), make([]Op, 193)
-	for {
-		gn := g.Fill(gbuf, limit)
-		rn := r.Fill(rbuf, limit)
-		if gn != rn {
-			t.Fatalf("fill counts diverged: %d vs %d", gn, rn)
+	for _, b := range []*Batch{MaterializeBatch(p, budget), materialize(p, budget, 700)} {
+		g := NewGenerator(p)
+		r := b.Replay()
+		// Limit beyond the materialized region to cross the boundary
+		// mid-fill.
+		const limit = 2 * budget
+		gbuf, rbuf := make([]Op, 193), make([]Op, 193)
+		straddled := false
+		for {
+			before := r.pos
+			gn := g.Fill(gbuf, limit)
+			rn := r.Fill(rbuf, limit)
+			if gn != rn {
+				t.Fatalf("%d-op batch: fill counts diverged: %d vs %d", b.Ops(), gn, rn)
+			}
+			if gn == 0 {
+				break
+			}
+			if !reflect.DeepEqual(gbuf[:gn], rbuf[:rn]) {
+				t.Fatalf("%d-op batch: fill contents diverged", b.Ops())
+			}
+			if fromBatch := r.pos - before; fromBatch > 0 && rn > fromBatch {
+				straddled = true
+			}
 		}
-		if gn == 0 {
-			break
+		if g.Progress() != r.Progress() {
+			t.Fatalf("%d-op batch: final progress %d vs %d", b.Ops(), g.Progress(), r.Progress())
 		}
-		if !reflect.DeepEqual(gbuf[:gn], rbuf[:rn]) {
-			t.Fatal("fill contents diverged")
+		if !straddled {
+			t.Fatalf("%d-op batch: no fill crossed the batch end", b.Ops())
 		}
-	}
-	if g.Progress() != r.Progress() {
-		t.Fatalf("final progress %d vs %d", g.Progress(), r.Progress())
 	}
 }
 

@@ -2,7 +2,9 @@
 # Micro-benchmark comparison for the simulator hot path: the per-scheme
 # engine store loop, the BMT ancestor-path lookup, trace-op generation
 # and the geometric sampler under it, the data cache and cache
-# hierarchy lookups, the NVM write model, PTT and ETT scheduling, and
+# hierarchy lookups (synthetic patterns, and replays of profiles' op
+# streams through a counter cache and the paper's data hierarchy),
+# the NVM write model, PTT and ETT scheduling, and
 # the event engine's schedule-and-run loop. With two inputs (a git ref, or two saved outputs) it
 # reports the delta through benchstat when that is installed, falling
 # back to a plain side-by-side listing otherwise. Nothing here gates a
@@ -33,7 +35,7 @@ bench() { # bench <dir> <outfile>
 		go test -run '^$' -bench 'BenchmarkBMTAncestorPath' -benchmem -count "$COUNT" ./internal/bmt
 		go test -run '^$' -bench 'BenchmarkTraceGen' -benchmem -count "$COUNT" ./internal/trace
 		go test -run '^$' -bench 'BenchmarkGeomSample|BenchmarkNewGeom' -benchmem -count "$COUNT" ./internal/xrand
-		go test -run '^$' -bench 'BenchmarkAccess' -benchmem -count "$COUNT" ./internal/cache ./internal/hier
+		go test -run '^$' -bench 'BenchmarkAccess|BenchmarkReplay' -benchmem -count "$COUNT" ./internal/cache ./internal/hier
 		go test -run '^$' -bench 'BenchmarkWrite' -benchmem -count "$COUNT" ./internal/nvm
 		go test -run '^$' -bench 'BenchmarkPipelinedPersist' -benchmem -count "$COUNT" ./internal/ptt
 		go test -run '^$' -bench 'BenchmarkScheduleEpoch' -benchmem -count "$COUNT" ./internal/ett
