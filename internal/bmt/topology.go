@@ -39,14 +39,23 @@ type Topology struct {
 	lcaDepth [65]int8
 }
 
+// CheckShape reports why NewTopology would refuse a tree of the given
+// shape, without building it.
+func CheckShape(levels, arity int) error {
+	if levels < 1 {
+		return fmt.Errorf("bmt: levels must be >= 1, got %d", levels)
+	}
+	if arity < 2 {
+		return fmt.Errorf("bmt: arity must be >= 2, got %d", arity)
+	}
+	return nil
+}
+
 // NewTopology builds a complete tree with the given number of levels
 // (>= 1) and arity (>= 2). The paper's default is 9 levels, arity 8.
 func NewTopology(levels, arity int) (*Topology, error) {
-	if levels < 1 {
-		return nil, fmt.Errorf("bmt: levels must be >= 1, got %d", levels)
-	}
-	if arity < 2 {
-		return nil, fmt.Errorf("bmt: arity must be >= 2, got %d", arity)
+	if err := CheckShape(levels, arity); err != nil {
+		return nil, err
 	}
 	t := &Topology{arity: arity, levels: levels}
 	t.first = make([]uint64, levels)

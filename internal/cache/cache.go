@@ -103,26 +103,43 @@ type Config struct {
 	Policy    Policy
 }
 
-// New builds a cache. SizeBytes must be a multiple of LineBytes*Ways,
-// and the resulting set count must be a power of two (true for every
-// configuration in the paper's Table III).
-func New(cfg Config) (*Cache, error) {
+// Validate reports why New would refuse cfg, without building the
+// cache or allocating: SizeBytes must be a multiple of LineBytes*Ways,
+// the resulting set count must be a power of two (true for every
+// configuration in the paper's Table III), and the cache may hold at
+// most MaxLines lines.
+func (cfg Config) Validate() error {
+	_, _, err := cfg.geometry()
+	return err
+}
+
+// geometry returns cfg's line and set counts, or why New refuses it.
+func (cfg Config) geometry() (lines, sets int, err error) {
 	if cfg.LineBytes <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
-		return nil, fmt.Errorf("cache %s: non-positive geometry", cfg.Name)
+		return 0, 0, fmt.Errorf("cache %s: non-positive geometry", cfg.Name)
 	}
-	lines := cfg.SizeBytes / cfg.LineBytes
+	lines = cfg.SizeBytes / cfg.LineBytes
 	if lines*cfg.LineBytes != cfg.SizeBytes {
-		return nil, fmt.Errorf("cache %s: size %d not a multiple of line %d", cfg.Name, cfg.SizeBytes, cfg.LineBytes)
+		return 0, 0, fmt.Errorf("cache %s: size %d not a multiple of line %d", cfg.Name, cfg.SizeBytes, cfg.LineBytes)
 	}
-	sets := lines / cfg.Ways
+	sets = lines / cfg.Ways
 	if sets*cfg.Ways != lines {
-		return nil, fmt.Errorf("cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways)
+		return 0, 0, fmt.Errorf("cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways)
 	}
 	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
+		return 0, 0, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
 	}
 	if lines > MaxLines {
-		return nil, fmt.Errorf("cache %s: %d lines exceed the %d-line bound", cfg.Name, lines, MaxLines)
+		return 0, 0, fmt.Errorf("cache %s: %d lines exceed the %d-line bound", cfg.Name, lines, MaxLines)
+	}
+	return lines, sets, nil
+}
+
+// New builds a cache of a geometry Validate accepts.
+func New(cfg Config) (*Cache, error) {
+	lines, sets, err := cfg.geometry()
+	if err != nil {
+		return nil, err
 	}
 	return &Cache{
 		name:      cfg.Name,

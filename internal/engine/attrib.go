@@ -163,8 +163,8 @@ func (a *attrib) finalize(total sim.Cycle) (Attribution, float64) {
 
 // segMark labels the core-visible critical path of one persist: the
 // cycles from the previous mark (or the persist's origin) up to At
-// were spent on Comp. Marks are appended in nondecreasing time order
-// as the persist's tuple gathering and tree walk are scheduled.
+// were spent on Comp. Marks are recorded in increasing time order as
+// the persist's tuple gathering and tree walk are scheduled.
 type segMark struct {
 	at   sim.Cycle
 	comp Component
@@ -175,12 +175,21 @@ type segMark struct {
 // admission).
 func (m *machine) beginPersist(origin sim.Cycle) {
 	m.segs = m.segs[:0]
-	m.segOrigin = origin
+	m.segOrigin, m.segLast = origin, origin
 }
 
-// mark appends one critical-path segment label.
+// mark appends one critical-path segment label, unless it spans
+// nothing: a mark at or before the latest one (or the origin) labels
+// no cycles. chargeStall would skip it without adding to the
+// attribution or moving its running bound, so dropping it leaves
+// every float addition, and their order, as they were; the kept marks
+// are strictly increasing.
 func (m *machine) mark(c Component, at sim.Cycle) {
+	if at <= m.segLast {
+		return
+	}
 	m.segs = append(m.segs, segMark{at: at, comp: c})
+	m.segLast = at
 }
 
 // chargeStall attributes the core-time advance from t (the core clock

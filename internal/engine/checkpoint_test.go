@@ -96,29 +96,37 @@ func TestCheckpointServesMeasureStageVariants(t *testing.T) {
 
 // TestCheckpointFromStoreReplay: a checkpoint built over a trace.Store
 // replay resumes bit-identically to the generator path — the two
-// memoization layers compose.
+// memoization layers compose. The replay is read in place while it is
+// inside its batch and filled from its tail generator past it, so the
+// store bounds cap the batch in the warm-up, in the measured region,
+// and not at all.
 func TestCheckpointFromStoreReplay(t *testing.T) {
 	prof := trace.Profiles()[0]
 	cfg := Config{Scheme: SchemeO3, Instructions: 40_000, Warmup: 15_000}
 	want := Run(cfg, prof)
 
-	store := trace.NewStore(0)
-	batch := store.Get(prof, cfg.Instructions+cfg.Warmup)
-	ck, err := NewCheckpointSource(cfg, prof.Name, prof.Seed, prof.IPC, batch.Replay())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ck.Resume(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("store-replay checkpoint diverged from generator run")
-	}
-	// And the replay itself (no checkpoint) matches too.
-	direct := RunSource(cfg, prof.Name, prof.IPC, batch.Replay())
-	if !reflect.DeepEqual(want, direct) {
-		t.Fatal("store replay run diverged from generator run")
+	for _, maxOps := range []uint64{0, 3_000, 8_000} {
+		store := trace.NewStore(0)
+		if maxOps > 0 {
+			store = trace.NewStore(512 + 16*maxOps)
+		}
+		batch := store.Get(prof, cfg.Instructions+cfg.Warmup)
+		ck, err := NewCheckpointSource(cfg, prof.Name, prof.Seed, prof.IPC, batch.Replay())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ck.Resume(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("batch of %d ops: store-replay checkpoint diverged from generator run", batch.Ops())
+		}
+		// And the replay itself (no checkpoint) matches too.
+		direct := RunSource(cfg, prof.Name, prof.IPC, batch.Replay())
+		if !reflect.DeepEqual(want, direct) {
+			t.Fatalf("batch of %d ops: store replay run diverged from generator run", batch.Ops())
+		}
 	}
 }
 

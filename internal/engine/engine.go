@@ -378,18 +378,10 @@ type machine struct {
 	paths       *bmt.PathTable
 	pathScratch []bmt.Label
 
-	// curPath/levelNode/seqCost decompose the old per-persist LevelCost
-	// closure into per-run state: seqCost is built once, reads the
-	// current persist's path from curPath, and applies the scheme's
-	// per-node update levelNode. This keeps the PTT walks closure- and
-	// allocation-free per persist.
-	curPath   []bmt.Label
-	levelNode func(bmt.Label, sim.Cycle) sim.Cycle
-	seqCost   ptt.LevelCost
 	// nodePersistDepth (from the spec): path nodes with leaf-first
 	// index below it are written to NVM on the persist's critical path
-	// (sgxtree/phoenix: whole path; triad_sel: the lowest TriadLevels
-	// levels; 0 for volatile-tree schemes).
+	// (sgxtree: whole path; triad_sel: the lowest TriadLevels levels;
+	// 0 for volatile-tree schemes).
 	nodePersistDepth int
 
 	// Epoch membership (runEpoch): a generation-stamp set over trace
@@ -408,10 +400,12 @@ type machine struct {
 	coreTime float64
 
 	// Cycle attribution: att accumulates per-component core cycles;
-	// segs labels the current persist's critical path (see attrib.go).
+	// segs labels the current persist's critical path from segOrigin,
+	// and segLast is its latest mark (see attrib.go).
 	att       attrib
 	segs      []segMark
 	segOrigin sim.Cycle
+	segLast   sim.Cycle
 
 	// Probe sources: the scheme runner registers whichever tracking
 	// table it drives so the observer's probe can reach it.
@@ -468,25 +462,8 @@ func newMachine(cfg Config) *machine {
 	}
 	m.paths = m.ar.pathTable(m.topo, nPaths)
 	m.pathScratch = make([]bmt.Label, 0, cfg.BMTLevels)
-	m.levelNode = m.nodeUpdate
 	if m.spec != nil {
 		m.nodePersistDepth = m.spec.depth(cfg)
-		if m.spec.writeThrough {
-			m.levelNode = m.nodeWriteThrough
-		}
-	}
-	m.seqCost = func(lvl int, start sim.Cycle) sim.Cycle {
-		m.mark(CompSched, start)
-		idx := m.cfg.BMTLevels - lvl // leaf-first path index
-		lab := m.curPath[idx]
-		d := m.levelNode(lab, start)
-		if idx < m.nodePersistDepth {
-			// The node itself must persist: its NVM write is on the
-			// persist's critical path (sgxtree, phoenix, triad_sel).
-			d = m.mem.Write(m.lay.BMTLine(lab), d)
-			m.mark(CompNVMWrite, d)
-		}
-		return d
 	}
 	return m
 }
@@ -555,8 +532,8 @@ func (m *machine) aliasBlock(b addr.Block) addr.Block {
 }
 
 // nodeUpdate models one BMT node update: fetch the node on a BMT-cache
-// miss, then recompute its MAC. Used by the schemes whose levels have
-// dedicated MAC stages (sequential walks and the PTT pipeline).
+// miss, then recompute its MAC. The PTT walks (walk) inline the same
+// update; runUnordered calls it per level.
 func (m *machine) nodeUpdate(label bmt.Label, start sim.Cycle) sim.Cycle {
 	if m.cfg.IdealMDC {
 		return start // free metadata, zero-latency MAC
@@ -568,19 +545,6 @@ func (m *machine) nodeUpdate(label bmt.Label, start sim.Cycle) sim.Cycle {
 	}
 	done := ready + m.cfg.MACLatency
 	m.mark(CompMAC, done)
-	return done
-}
-
-// nodeWriteThrough is nodeUpdate plus a write-through of the updated
-// node to NVM as background traffic (phoenix): the write keeps the
-// tree persistent across power loss but stays off the walk's critical
-// path — battery-backed write queueing decouples it — so it costs
-// write bandwidth and queue occupancy, not stage time. Contrast with
-// nodePersistDepth's chained writes (sgxtree, triad_sel), where the
-// write's drain gates the parent level.
-func (m *machine) nodeWriteThrough(label bmt.Label, start sim.Cycle) sim.Cycle {
-	done := m.nodeUpdate(label, start)
-	m.mem.Write(m.lay.BMTLine(label), done)
 	return done
 }
 
@@ -666,7 +630,7 @@ func (m *machine) warm(st *opStream, instrs uint64) {
 
 // warmCaches is the warm-up loop shared by RunSource and checkpoint
 // construction: it streams instructions through the data hierarchy and
-// counter cache without timing, walking each filled batch in place.
+// counter cache without timing, walking each batch in place.
 // Warm-up state therefore depends on exactly the stream prefix and
 // these two structures' geometry — the fields warmupConfig keeps.
 func warmCaches(data *hier.Hierarchy, ctr *cache.Cache, idealMDC bool, st *opStream, instrs uint64) {

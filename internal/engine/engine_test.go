@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"plp/internal/sim"
@@ -439,5 +440,43 @@ func TestCoalescingReductionZeroOnNonEpoch(t *testing.T) {
 	r := run(t, Config{Scheme: SchemeSP}, "sphinx3")
 	if r.CoalescingReduction() != 0 {
 		t.Fatal("non-epoch scheme reported coalescing reduction")
+	}
+}
+
+// TestLLCGeometryOnlyReachesWriteBack pins why the LLC sweep moves
+// only the baseline: the data hierarchy is read in the measured region
+// only by the write-back scheme (and by ReadVerification, off here), so
+// every other scheme returns the same Result at 1 MB/32-way,
+// 2 MB/16-way and 4 MB/32-way, warm-up included. secure_WB, the
+// control, must differ somewhere. -short checks every third benchmark.
+func TestLLCGeometryOnlyReachesWriteBack(t *testing.T) {
+	geoms := []struct{ kb, ways int }{{4096, 32}, {1024, 32}, {2048, 16}}
+	const instr, warmup = 100_000, 50_000
+	ar := NewArena()
+	wbMoved := false
+	for i, p := range trace.Profiles() {
+		if testing.Short() && i%3 != 0 {
+			continue
+		}
+		for _, s := range Schemes() {
+			var first Result
+			for i, g := range geoms {
+				cfg := Config{Scheme: s, Instructions: instr, Warmup: warmup, LLCKB: g.kb, LLCWays: g.ways, Arena: ar}
+				r := Run(cfg, p)
+				if i == 0 {
+					first = r
+					continue
+				}
+				same := reflect.DeepEqual(r, first)
+				if s == SchemeSecureWB {
+					wbMoved = wbMoved || !same
+				} else if !same {
+					t.Errorf("%s/%s: LLC %d KB %d-way changes the Result (%d cycles, %d at 4 MB)", s, p.Name, g.kb, g.ways, r.Cycles, first.Cycles)
+				}
+			}
+		}
+	}
+	if !wbMoved {
+		t.Error("no LLC geometry moved secure_WB on any benchmark; the test would not notice the hierarchy being ignored")
 	}
 }

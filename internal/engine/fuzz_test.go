@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -58,10 +59,58 @@ func fuzzConfig(knobs []byte) (Config, trace.Profile) {
 	return cfg, prof
 }
 
+// countingObserver checks the observer stream of one run as it
+// arrives: persist records in program order from Seq 0, and counts of
+// the persists, epochs and End calls to hold against the Result.
+type countingObserver struct {
+	persists, epochs, ends uint64
+	outOfOrder             string // the first out-of-order persist, if any
+	end                    struct{ persists, nvmReads, nvmWrites uint64 }
+}
+
+func (o *countingObserver) Persist(r PersistRecord) {
+	if r.Seq != o.persists && o.outOfOrder == "" {
+		o.outOfOrder = fmt.Sprintf("persist record %d carries Seq %d", o.persists, r.Seq)
+	}
+	o.persists++
+}
+
+func (o *countingObserver) Epoch(EpochRecord) { o.epochs++ }
+
+func (o *countingObserver) Sample(Probe) {}
+
+func (o *countingObserver) End(p Probe) {
+	o.ends++
+	o.end.persists, o.end.nvmReads, o.end.nvmWrites = p.Persists(), p.NVMReads(), p.NVMWrites()
+}
+
+// check reports how the observed stream disagrees with res.
+func (o *countingObserver) check(res Result) string {
+	switch {
+	case o.outOfOrder != "":
+		return o.outOfOrder
+	case o.persists != res.Persists:
+		return fmt.Sprintf("%d persist records for %d persists", o.persists, res.Persists)
+	case o.epochs != res.Epochs:
+		return fmt.Sprintf("%d epoch records for %d epochs", o.epochs, res.Epochs)
+	case o.ends != 1:
+		return fmt.Sprintf("%d End calls", o.ends)
+	case o.end.persists != res.Persists || o.end.nvmReads != res.NVMReads || o.end.nvmWrites != res.NVMWrites:
+		return fmt.Sprintf("End probe persists/reads/writes %d/%d/%d, Result %d/%d/%d",
+			o.end.persists, o.end.nvmReads, o.end.nvmWrites, res.Persists, res.NVMReads, res.NVMWrites)
+	}
+	return ""
+}
+
 // FuzzEngineConfig: every config Validate accepts runs all twelve
 // schemes without panicking, attributes exactly its cycles, and gives
-// the same Result when rerun with an arena and an unfired Canceler
-// attached, which leave its Key unchanged.
+// the same Result when rerun with an arena, an unfired Canceler and an
+// observer attached, which leave its Key unchanged. The rerun shares
+// one arena with every earlier input, so it also catches per-run state
+// that a run leaves behind in the arena, its views of the recorded op
+// stream, the write queue or the PTT walk. The observer must see the
+// persists in program order, one record per persist and per epoch,
+// and an End probe carrying the Result's totals.
 func FuzzEngineConfig(f *testing.F) {
 	// Two NVM blocks Validate once accepted and nvm.New then panicked
 	// on, and a slow write drain behind a two-entry queue.
@@ -92,15 +141,19 @@ func FuzzEngineConfig(f *testing.F) {
 				t.Fatalf("%s %+v: attribution sums to %d of %d cycles", s, cfg, got, res.Cycles)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
+			obs := &countingObserver{}
 			hooked := cfg
-			hooked.Arena, hooked.Cancel = ar, ctx
+			hooked.Arena, hooked.Cancel, hooked.Observer = ar, ctx, obs
 			if hooked.Key() != cfg.Key() {
-				t.Fatalf("%s: attaching an arena and a Canceler changed the key", s)
+				t.Fatalf("%s: attaching an arena, a Canceler and an observer changed the key", s)
 			}
 			again := Run(hooked, prof)
 			cancel()
 			if !reflect.DeepEqual(res, again) {
-				t.Fatalf("%s %+v: the rerun with an arena and an unfired Canceler differs", s, cfg)
+				t.Fatalf("%s %+v: the rerun with an arena, an unfired Canceler and an observer differs", s, cfg)
+			}
+			if msg := obs.check(again); msg != "" {
+				t.Fatalf("%s %+v: observer: %s", s, cfg, msg)
 			}
 		}
 	})

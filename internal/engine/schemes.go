@@ -24,7 +24,7 @@ func cyc(t float64) sim.Cycle {
 // the data hierarchy. A store that must persist goes to the scheme's
 // store step: every store under the write-back baseline or in
 // full-memory mode, else every non-stack store (the paper's default
-// protection mode). The loop walks each filled batch of the stream in
+// protection mode). The loop walks each batch of the stream in
 // place and ends with the measured region or at a cancellation: it
 // polls Config.Cancel before every cancelPollOps-th op and stops ahead
 // of that op once the hook has fired.
@@ -93,11 +93,56 @@ func (m *machine) stall(until sim.Cycle) {
 	m.chargeStall(before, until)
 }
 
-// The sequential schemes drive the PTT with the machine's per-run
-// seqCost (see newMachine): each persist sets m.curPath to its update
-// path and the per-level callback applies m.levelNode — the old
-// per-persist closure pair, flattened so the steady-state loop does
-// not allocate.
+// walk schedules one persist's leaf-to-root BMT update of path through
+// the PTT's gates, ready at the given cycle, and returns when it
+// entered the leaf stage and when its root update completed. A
+// pipelined walk (pipeline, phoenix, shadow, supermem_wc) is admitted
+// by the table and starts each level once the persist ahead of it has
+// finished that level (Table.Persist); a sequential one (secure_WB's
+// write-backs, sp, sgxtree, colocated, triad_sel) starts once the
+// previous root update completed and runs its levels back to back
+// (Table.SequentialPersist). Each level updates its node as nodeUpdate
+// does. Under phoenix (writeThrough) the updated node is also written
+// to NVM as background traffic: battery-backed write queueing keeps
+// the write off the walk's critical path, so it costs write bandwidth
+// and queue occupancy, not stage time. Below nodePersistDepth the node
+// instead persists on the critical path, and the write's drain gates
+// the parent level (sgxtree, triad_sel).
+func (m *machine) walk(tab *ptt.Table, path []bmt.Label, ready sim.Cycle, pipelined bool) (leafStart, rootDone sim.Cycle) {
+	if pipelined {
+		leafStart = tab.Admit(ready)
+	} else {
+		leafStart = max(ready, tab.Stage(1)) // previous root update
+	}
+	ideal, macLat := m.cfg.IdealMDC, m.cfg.MACLatency
+	writeThrough, depth := m.spec.writeThrough, m.nodePersistDepth
+	done := leafStart
+	for i, label := range path {
+		lvl := len(path) - i
+		if pipelined {
+			done = max(done, tab.Stage(lvl))
+		}
+		m.mark(CompSched, done)
+		if !ideal {
+			if !m.bmtCache.Access(bmtLine(label), true) {
+				done = m.mem.Read(m.lay.BMTLine(label), done)
+				m.mark(CompBMTFetch, done)
+			}
+			done += macLat
+			m.mark(CompMAC, done)
+		}
+		if writeThrough {
+			m.mem.Write(m.lay.BMTLine(label), done)
+		}
+		if i < depth {
+			done = m.mem.Write(m.lay.BMTLine(label), done)
+			m.mark(CompNVMWrite, done)
+		}
+		tab.SetStage(lvl, done)
+	}
+	tab.Retire(ready, done)
+	return leafStart, done
+}
 
 // runSecureWB models the baseline: write-back caches, no persistency.
 // LLC dirty evictions are the only persists; each performs a
@@ -112,8 +157,7 @@ func runSecureWB(m *machine, st *opStream, ipc float64, res *Result) {
 		// miss fill path: the core observes the stall.
 		m.stall(grant)
 		start := m.metaFetch(blk, grant)
-		m.curPath = m.pathOf(blk)
-		done := tab.SequentialPersist(start, m.seqCost)
+		_, done := m.walk(tab, m.pathOf(blk), start, false)
 		m.persistWrites(blk, done)
 		m.q.Occupy(done)
 		res.Writebacks++
@@ -167,8 +211,8 @@ func (m *machine) faultAck(seq uint64, grant, done sim.Cycle) sim.Cycle {
 // BMT update — must persist before the next store may proceed, so the
 // core stalls for the full update (§IV-A1). Per-scheme variation comes
 // from the spec, not from identity checks: sgxtree and triad_sel set a
-// persisted-node depth (the seqCost write-through), colocated sets the
-// co-location flag.
+// persisted-node depth (walk's critical-path node writes), colocated
+// sets the co-location flag.
 func runSP(m *machine, st *opStream, ipc float64, res *Result) {
 	tab := ptt.New(m.cfg.BMTLevels, m.cfg.PTTEntries)
 	m.pttTab = tab
@@ -179,8 +223,7 @@ func runSP(m *machine, st *opStream, ipc float64, res *Result) {
 		if !colocated {
 			start = m.metaFetch(blk, grant)
 		}
-		m.curPath = m.pathOf(blk)
-		done := tab.SequentialPersist(start, m.seqCost)
+		_, done := m.walk(tab, m.pathOf(blk), start, false)
 		if colocated {
 			// One co-located line carries data+counter+MAC.
 			m.mergedWrite(m.lay.DataLine(m.aliasBlock(blk)), done)
@@ -205,8 +248,7 @@ func runPipeline(m *machine, st *opStream, ipc float64, res *Result) {
 	m.runOps(st, ipc, func(blk addr.Block) {
 		grant := m.admit()
 		start := m.metaFetch(blk, grant)
-		m.curPath = m.pathOf(blk)
-		leafStart, done := tab.Persist(start, m.seqCost)
+		leafStart, done := m.walk(tab, m.pathOf(blk), start, true)
 		m.persistWrites(blk, done)
 		ack := m.faultAck(res.Persists, grant, done)
 		m.q.Occupy(ack)
@@ -361,8 +403,7 @@ func runShadow(m *machine, st *opStream, ipc float64, res *Result) {
 		// root update and the shadow entry are durable.
 		shadow := m.mem.Write(m.lay.DataLine(m.aliasBlock(blk)), grant)
 		start := m.metaFetch(blk, grant)
-		m.curPath = m.pathOf(blk)
-		leafStart, root := tab.Persist(start, m.seqCost)
+		leafStart, root := m.walk(tab, m.pathOf(blk), start, true)
 		m.persistWrites(blk, root)
 		done := root
 		if shadow > done {
@@ -393,8 +434,8 @@ func runSuperMemWC(m *machine, st *opStream, ipc float64, res *Result) {
 	m.runOps(st, ipc, func(blk addr.Block) {
 		grant := m.admit()
 		start := m.metaFetch(blk, grant)
-		m.curPath = m.pathOf(blk)
-		leaf := m.curPath[0]
+		path := m.pathOf(blk)
+		leaf := path[0]
 		res.BMTUpdatesNoCoal += uint64(m.cfg.BMTLevels)
 		var leafStart, done sim.Cycle
 		if haveLast && leaf == lastLeaf && lastRootDone > start {
@@ -404,7 +445,7 @@ func runSuperMemWC(m *machine, st *opStream, ipc float64, res *Result) {
 			leafStart, done = start, lastRootDone
 			m.mark(CompSched, done)
 		} else {
-			leafStart, done = tab.Persist(start, m.seqCost)
+			leafStart, done = m.walk(tab, path, start, true)
 			res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
 		}
 		lastLeaf, lastRootDone, haveLast = leaf, done, true

@@ -66,8 +66,8 @@ type SchemeSpec struct {
 	coalesce bool
 	// persistDepth returns how many leaf-side BMT levels the scheme
 	// persists inline on every walk (0 = volatile tree, BMTLevels =
-	// fully persistent tree). The machine's seqCost issues an NVM
-	// write per node below the returned depth, chained into the stage's
+	// fully persistent tree). The machine's walk issues an NVM write
+	// per node below the returned depth, chained into the stage's
 	// completion — the write drain gates the parent level. Nil means 0.
 	persistDepth func(Config) int
 	// writeThrough: every node update is additionally written through
@@ -180,7 +180,7 @@ var _ = []*SchemeSpec{
 	// triad_sel is Triad-NVM's selective tree persistence: the 2SP
 	// strict-persistency discipline of runSP, with the lowest
 	// TriadLevels BMT levels written through to NVM on the walk's
-	// critical path (persistDepth drives seqCost). Recovery then
+	// critical path (persistDepth drives walk). Recovery then
 	// rebuilds only the volatile top of the tree.
 	register(SchemeSpec{
 		Scheme:       SchemeTriadSel,
@@ -200,7 +200,7 @@ var _ = []*SchemeSpec{
 	// phoenix is Phoenix's persistently secure counter tree: walks stay
 	// pipelined through the PTT exactly as in runPipeline, but every
 	// node update is additionally written through to NVM (writeThrough
-	// selects nodeWriteThrough as the level updater), so the tree
+	// turns on walk's background node write), so the tree
 	// survives power loss and recovery is a root verification. The
 	// writes ride the battery-backed write queue off the walk's
 	// critical path — Phoenix's design point — so the cost shows up as

@@ -10,22 +10,32 @@ import (
 const opBatch = 1024
 
 // opStream feeds the op loops (runOps and warmCaches) their operation
-// stream a batch at a time: a loop walks each filled batch in place, so
-// a run pays one Fill call per batch instead of a call per op. A source
-// without a Fill of its own (phased, recorded) is filled through
-// nextFill, one Next call per op.
+// stream a batch at a time through one view, cur: a loop walks the
+// view in place, so a run pays one source call per batch instead of a
+// call per op. A source that holds its ops in memory (a
+// trace.ViewSource: the arena's recording, a store replay) hands out
+// its own ops as the view, with no copy and no instruction count of
+// its own; a taken prefix is passed back to it. Every other source
+// (the generator, trace files, phased sources, wrappers) fills the
+// stream's buffer, through its own Fill or, without one, through
+// nextFill, one Next call per op; so does a view source past the ops
+// it holds.
 //
 // Batching is invisible to the timing model: consumed counts the
-// instructions of the ops handed out (each op spans Gap+1), so a loop
-// bounded by it consumes exactly the op sequence it would have pulled
-// one call at a time.
+// instructions of the ops handed out (each op spans Gap+1), and each
+// loop stops at its own bound, so it consumes exactly the op sequence
+// it would have pulled one call at a time.
 type opStream struct {
-	src      trace.Source
-	fill     trace.BatchSource // src's own Fill, or nextFill over src
-	buf      []trace.Op
-	pos, n   int
-	limit    uint64 // total instructions the run will consume (incl. warmup)
-	consumed uint64 // instructions represented by ops handed out
+	src     trace.Source
+	view    trace.ViewSource  // src, when it hands out its ops in place
+	fill    trace.BatchSource // src's own Fill, or nextFill over src
+	buf     []trace.Op
+	cur     []trace.Op // the current batch: src's ops in place, or buf filled
+	pos     int        // ops of cur handed out
+	inPlace bool       // cur is src's own: a take advances src
+	limit   uint64     // total instructions the run will consume (incl. warmup)
+	// consumed counts the instructions of the ops handed out.
+	consumed uint64
 }
 
 func newOpStream(src trace.Source, limit uint64, buf []trace.Op) *opStream {
@@ -33,7 +43,8 @@ func newOpStream(src trace.Source, limit uint64, buf []trace.Op) *opStream {
 	if !ok {
 		fill = nextFill{src}
 	}
-	return &opStream{src: src, fill: fill, buf: buf, limit: limit, consumed: src.Progress()}
+	view, _ := src.(trace.ViewSource)
+	return &opStream{src: src, view: view, fill: fill, buf: buf, limit: limit, consumed: src.Progress()}
 }
 
 // nextFill fills a batch from a Source that has no Fill of its own,
@@ -49,14 +60,23 @@ func (f nextFill) Fill(buf []trace.Op, limit uint64) int {
 	return n
 }
 
-// ops returns the filled ops not yet handed out, filling the buffer
-// first when it is drained. It is empty only once the source is at
-// the run's limit.
+// ops returns the batch's ops not yet handed out, taking the next
+// batch first when it is drained: the source's own view when it has
+// one, else a fill of the buffer. It is empty only once the source is
+// at the run's limit. A view may run past the limit; the loops stop at
+// their bound.
 func (s *opStream) ops() []trace.Op {
-	if s.pos == s.n {
-		s.pos, s.n = 0, s.fill.Fill(s.buf, s.limit)
+	if s.pos == len(s.cur) {
+		s.pos, s.inPlace = 0, false
+		if s.view != nil {
+			s.cur = s.view.View(s.limit)
+			s.inPlace = len(s.cur) > 0
+		}
+		if !s.inPlace {
+			s.cur = s.buf[:s.fill.Fill(s.buf, s.limit)]
+		}
 	}
-	return s.buf[s.pos:s.n]
+	return s.cur[s.pos:]
 }
 
 // take hands out the first k ops of the last ops() slice, which bring
@@ -64,20 +84,27 @@ func (s *opStream) ops() []trace.Op {
 func (s *opStream) take(k int, consumed uint64) {
 	s.pos += k
 	s.consumed = consumed
+	if s.inPlace {
+		s.view.Take(k, consumed)
+	}
 }
 
 // checkpoint captures the stream's exact position for later resumption:
 // a positioned clone of the source, the ops already filled into the
-// batch buffer but not yet handed out, and the instructions consumed so
-// far. The source must be cloneable; the stream itself remains usable.
+// buffer but not yet handed out, and the instructions consumed so far.
+// A source read in place has advanced only past the ops taken, so its
+// clone alone is the position and nothing is pending. The source must
+// be cloneable; the stream itself remains usable.
 func (s *opStream) checkpoint() (src trace.Source, pending []trace.Op, consumed uint64, err error) {
 	c, ok := s.src.(trace.CloneableSource)
 	if !ok {
 		return nil, nil, 0, fmt.Errorf("engine: source %T is not checkpointable (no CloneSource)", s.src)
 	}
-	// The source sits past the filled ops; keep them so the resumed
-	// stream hands them out before refilling.
-	pending = append([]trace.Op(nil), s.buf[s.pos:s.n]...)
+	if !s.inPlace {
+		// The source sits past the filled ops; keep them so the
+		// resumed stream hands them out before refilling.
+		pending = append([]trace.Op(nil), s.cur[s.pos:]...)
+	}
 	return c.CloneSource(), pending, s.consumed, nil
 }
 
@@ -91,6 +118,6 @@ func resumeOpStream(src trace.Source, limit uint64, buf []trace.Op, pending []tr
 	if copy(s.buf, pending) < len(pending) {
 		panic(fmt.Sprintf("engine: resume buffer holds %d ops, checkpoint carries %d", len(s.buf), len(pending)))
 	}
-	s.n, s.consumed = len(pending), consumed
+	s.cur, s.consumed = s.buf[:len(pending)], consumed
 	return s
 }

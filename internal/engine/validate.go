@@ -20,7 +20,7 @@ func (c Config) Validate() error {
 	if spec == nil {
 		return fmt.Errorf("engine: unknown scheme %q (known: %v)", c.Scheme, Schemes())
 	}
-	if _, err := bmt.NewTopology(c.BMTLevels, 8); err != nil {
+	if err := bmt.CheckShape(c.BMTLevels, 8); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
 	if c.WPQEntries < 1 {
@@ -47,29 +47,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: MDCWays must be >= 1, got %d", c.MDCWays)
 	}
 	// The cache geometries must be constructible (size a multiple of
-	// line*ways, power-of-two set count); reuse the cache package's own
-	// constructor checks so the rules cannot drift.
-	mdc := func(name string, kbs int) error {
-		_, err := cache.New(cache.Config{
-			Name: name, SizeBytes: kbs * kb, LineBytes: addr.BlockBytes,
-			Ways: c.MDCWays, Policy: cache.WriteBack,
-		})
-		return err
-	}
-	if err := mdc("ctr", c.CtrCacheKB); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if err := mdc("mac", c.MACCacheKB); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if err := mdc("bmt", c.BMTCacheKB); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if _, err := cache.New(cache.Config{
-		Name: "llc", SizeBytes: c.LLCKB * kb, LineBytes: addr.BlockBytes,
-		Ways: c.LLCWays, Policy: cache.WriteBack,
-	}); err != nil {
-		return fmt.Errorf("engine: %w", err)
+	// line*ways, power-of-two set count, at most cache.MaxLines lines);
+	// the cache package's own check applies New's rules without
+	// building the caches, so the rules cannot drift and validating
+	// allocates nothing.
+	for _, g := range []cache.Config{
+		{Name: "ctr", SizeBytes: c.CtrCacheKB * kb, Ways: c.MDCWays},
+		{Name: "mac", SizeBytes: c.MACCacheKB * kb, Ways: c.MDCWays},
+		{Name: "bmt", SizeBytes: c.BMTCacheKB * kb, Ways: c.MDCWays},
+		{Name: "llc", SizeBytes: c.LLCKB * kb, Ways: c.LLCWays},
+	} {
+		g.LineBytes = addr.BlockBytes
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("engine: %w", err)
+		}
 	}
 	// Zero NVM fields take nvm.DefaultConfig's values; anything else
 	// must be a usable count or duration.

@@ -21,8 +21,8 @@ import (
 
 // LevelCost computes the completion time of one node update that may
 // begin at start, for the node at the given 1-based level (1 = root).
-// The engine supplies MAC-unit occupancy and BMT-cache miss penalties
-// through this callback.
+// Persist, SequentialPersist and the Reference take one; the engine
+// walks the table's gates itself with its node update inline.
 type LevelCost func(level int, start sim.Cycle) (done sim.Cycle)
 
 // Table is the PTT scheduler.
@@ -66,6 +66,48 @@ func New(levels, capacity int) *Table {
 // Levels returns the tree depth the table is configured for.
 func (t *Table) Levels() int { return t.levels }
 
+// The walk's per-level gates. A walk of one persist is a loop over
+// them: Admit (pipelined) or the root's Stage (sequential) gives its
+// leaf start; each level, from the leaf (level Levels) to the root
+// (level 1), starts no earlier than that level's Stage and records its
+// completion with SetStage; Retire closes the walk. Persist and
+// SequentialPersist are that loop over a LevelCost; the engine runs it
+// inline with its own node update.
+
+// Admit is a pipelined walk's admission gate: it returns when a
+// persist ready at the given cycle may enter the leaf stage, once a
+// table entry is free and the previous persist has vacated the leaf
+// stage (one persist per BMT level, Fig. 6), and adds the wait to
+// AdmitStalls.
+func (t *Table) Admit(ready sim.Cycle) sim.Cycle {
+	start := max(ready, t.retire[t.head], t.stageDone[t.levels-1])
+	t.AdmitStalls += start - ready
+	return start
+}
+
+// Stage returns level lvl's gate (1 = root): when the youngest
+// persist so far completed its update of that level. A pipelined
+// walk's update of the level starts no earlier; a sequential walk
+// starts its leaf no earlier than the root's.
+func (t *Table) Stage(lvl int) sim.Cycle { return t.stageDone[lvl-1] }
+
+// SetStage records that the walking persist completed its update of
+// level lvl at done.
+func (t *Table) SetStage(lvl int, done sim.Cycle) { t.stageDone[lvl-1] = done }
+
+// Retire closes the walk of a persist that was ready at the given
+// cycle and completed its root update at rootDone: it counts the
+// persist, holds its table entry until rootDone (the capacity limit
+// and InFlightAt read these) and records its in-table latency.
+func (t *Table) Retire(ready, rootDone sim.Cycle) {
+	t.Persists++
+	t.retire[t.head] = rootDone
+	if t.head++; t.head == t.capacity {
+		t.head = 0
+	}
+	t.Latency.Add(uint64(rootDone - ready))
+}
+
 // Persist schedules one persist's full leaf-to-root update pipeline,
 // ready at the given cycle. It returns when the persist entered the
 // pipeline's leaf stage (under strict persistency the store occupies
@@ -74,32 +116,16 @@ func (t *Table) Levels() int { return t.levels }
 // completes (the point at which the WPQ entry may be marked
 // persisted).
 func (t *Table) Persist(ready sim.Cycle, cost LevelCost) (leafStart, rootDone sim.Cycle) {
-	// Admission: wait for a free entry.
-	start := ready
-	if free := t.retire[t.head]; free > start {
-		start = free
-	}
-	// The leaf stage must also have been vacated by the previous
-	// persist (one persist per BMT level, Fig. 6).
-	if g := t.stageDone[t.levels-1]; g > start {
-		start = g
-	}
-	t.AdmitStalls += start - ready
-	t.Persists++
-
-	done := start
+	leafStart = t.Admit(ready)
+	done := leafStart
 	for lvl := t.levels; lvl >= 1; lvl-- {
-		s := done // this persist finished the level below at `done`
-		if g := t.stageDone[lvl-1]; g > s {
-			s = g // older persist still updating this level
-		}
-		done = cost(lvl, s)
-		t.stageDone[lvl-1] = done
+		// This persist finished the level below at done; an older
+		// persist may still be updating this level.
+		done = cost(lvl, max(done, t.Stage(lvl)))
+		t.SetStage(lvl, done)
 	}
-	t.retire[t.head] = done
-	t.head = (t.head + 1) % t.capacity
-	t.Latency.Add(uint64(done - ready))
-	return start, done
+	t.Retire(ready, done)
+	return leafStart, done
 }
 
 // InFlightAt returns the number of table entries still occupied at
@@ -118,25 +144,17 @@ func (t *Table) InFlightAt(at sim.Cycle) int {
 
 // SequentialPersist schedules one persist under the *baseline* SP
 // mechanism (§IV-A1): the leaf-to-root update runs only after the
-// previous persist's root update completed — no pipelining. It is
-// provided here because it shares the level-walk; the gate is the
-// root's stageDone, applied at the leaf.
+// previous persist's root update completed — no pipelining. It shares
+// the level walk and its gates; the root's Stage gates the leaf. The
+// walk is retired into the table too, so InFlightAt reports occupancy
+// for sequential schemes as well; Persist never shares a table with
+// SequentialPersist, so its admission gate is unaffected.
 func (t *Table) SequentialPersist(ready sim.Cycle, cost LevelCost) (rootDone sim.Cycle) {
-	start := ready
-	if g := t.stageDone[0]; g > start { // previous root update
-		start = g
-	}
-	t.Persists++
-	done := start
+	done := max(ready, t.Stage(1)) // previous root update
 	for lvl := t.levels; lvl >= 1; lvl-- {
 		done = cost(lvl, done)
-		t.stageDone[lvl-1] = done
+		t.SetStage(lvl, done)
 	}
-	// Record the walk in the retire ring too, so InFlightAt reports
-	// occupancy for sequential schemes as well. Persist never shares a
-	// table with SequentialPersist, so its admission gate is unaffected.
-	t.retire[t.head] = done
-	t.head = (t.head + 1) % t.capacity
-	t.Latency.Add(uint64(done - ready))
+	t.Retire(ready, done)
 	return done
 }

@@ -1,6 +1,8 @@
 package ptt
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"plp/internal/sim"
@@ -185,5 +187,75 @@ func TestPersistLatencyHistogram(t *testing.T) {
 	pipe.Persist(0, fixedCost(80))
 	if pipe.Latency.Count() != 1 || pipe.Latency.Max() != 720 {
 		t.Fatalf("pipelined first persist latency = %d", pipe.Latency.Max())
+	}
+}
+
+// TestGatesMatchPersist drives one table through Persist or
+// SequentialPersist and a second through the gates, walking each level
+// inline as the engine does, over the same seeded per-level costs (a
+// MAC latency plus occasional misses and write drains) and arrival
+// times, at several depths and capacities. Every leaf start, every
+// level's stage time, every root time and the table's counters must
+// agree.
+func TestGatesMatchPersist(t *testing.T) {
+	for _, pipelined := range []bool{true, false} {
+		for _, shape := range []struct{ levels, capacity int }{{1, 1}, {4, 3}, {9, 64}, {12, 5}} {
+			rng := rand.New(rand.NewPCG(uint64(shape.levels), uint64(shape.capacity)))
+			api, gates := New(shape.levels, shape.capacity), New(shape.levels, shape.capacity)
+			extra := make([]sim.Cycle, shape.levels+1) // this persist's per-level penalty
+			cost := func(lvl int, start sim.Cycle) sim.Cycle { return start + 40 + extra[lvl] }
+			ready := sim.Cycle(0)
+			for i := 0; i < 3000; i++ {
+				ready += sim.Cycle(rng.IntN(120))
+				for l := range extra {
+					extra[l] = 0
+					if rng.IntN(8) == 0 {
+						extra[l] = sim.Cycle(rng.IntN(600))
+					}
+				}
+				var wantLeaf, wantRoot sim.Cycle
+				if pipelined {
+					wantLeaf, wantRoot = api.Persist(ready, cost)
+				} else {
+					wantRoot = api.SequentialPersist(ready, cost)
+				}
+
+				var leaf sim.Cycle
+				if pipelined {
+					leaf = gates.Admit(ready)
+				} else {
+					leaf = max(ready, gates.Stage(1))
+				}
+				done := leaf
+				for lvl := shape.levels; lvl >= 1; lvl-- {
+					start := done
+					if pipelined {
+						start = max(start, gates.Stage(lvl))
+					}
+					done = cost(lvl, start)
+					gates.SetStage(lvl, done)
+				}
+				gates.Retire(ready, done)
+
+				if pipelined && leaf != wantLeaf {
+					t.Fatalf("pipelined=%v %+v persist %d: gate leaf start %d, Persist %d", pipelined, shape, i, leaf, wantLeaf)
+				}
+				if done != wantRoot {
+					t.Fatalf("pipelined=%v %+v persist %d: gate root %d, want %d", pipelined, shape, i, done, wantRoot)
+				}
+				for lvl := 1; lvl <= shape.levels; lvl++ {
+					if gates.Stage(lvl) != api.Stage(lvl) {
+						t.Fatalf("pipelined=%v %+v persist %d: level %d stage %d, want %d", pipelined, shape, i, lvl, gates.Stage(lvl), api.Stage(lvl))
+					}
+				}
+				if at := ready + 200; gates.InFlightAt(at) != api.InFlightAt(at) {
+					t.Fatalf("pipelined=%v %+v persist %d: InFlightAt differs", pipelined, shape, i)
+				}
+			}
+			if gates.Persists != api.Persists || gates.AdmitStalls != api.AdmitStalls || !reflect.DeepEqual(gates.Latency, api.Latency) {
+				t.Fatalf("pipelined=%v %+v: counters differ: %d/%d/%d vs %d/%d/%d", pipelined, shape,
+					gates.Persists, gates.AdmitStalls, gates.Latency.Count(), api.Persists, api.AdmitStalls, api.Latency.Count())
+			}
+		}
 	}
 }

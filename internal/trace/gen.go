@@ -254,6 +254,36 @@ type BatchSource interface {
 	Fill(buf []Op, limit uint64) int
 }
 
+// ViewSource is an optional BatchSource extension for a source whose
+// upcoming ops already sit in memory (a Recording's pages, a store
+// Batch): instead of copying them into the caller's buffer it hands
+// them out in place, and counts no instructions until the caller says
+// how far it read. A reader walks the view under its own instruction
+// bound, as it walks a filled buffer, and then takes what it read.
+type ViewSource interface {
+	BatchSource
+	// View returns the source's next ops in place without consuming
+	// them: at least one while Progress() < limit, unless the source
+	// has no more ops in memory and goes on only through Fill. The ops
+	// may run past limit. The slice stays valid while the source is
+	// read.
+	View(limit uint64) []Op
+	// Take consumes the first k ops of the last View, which bring
+	// Progress() to instrs.
+	Take(k int, instrs uint64)
+}
+
+// within returns how many of ops a reader at instrs instructions reads
+// under Fill's stopping rule (an op is read while the count is below
+// limit), and its count after them.
+func within(ops []Op, instrs, limit uint64) (int, uint64) {
+	k := 0
+	for ; k < len(ops) && instrs < limit; k++ {
+		instrs += uint64(ops[k].Gap) + 1
+	}
+	return k, instrs
+}
+
 // Fill produces the next batch of operations into buf, stopping when
 // the generator's instruction count reaches limit, and returns the
 // number of ops written. The resulting stream is bit-identical to

@@ -89,10 +89,13 @@ func (r *Recording) extend(want int, limit uint64) {
 }
 
 // RecordingReader streams a Recording. It implements Source and
-// BatchSource with the generator's stopping rule, so a run reads
-// exactly the ops a fresh Generator would hand it. It deliberately does
-// not implement CloneableSource: the recording's pages are reused for
-// the next profile, so nothing may pin a position inside them.
+// ViewSource with the generator's stopping rule, so a run reads
+// exactly the ops a fresh Generator would hand it: View hands out the
+// recorded ops in place, recording at the recording's end the ops a
+// read needs first, and past RecordingCap the reader goes on through
+// Fill from its own clone of the generator. It deliberately does not
+// implement CloneableSource: the recording's pages are reused for the
+// next profile, so nothing may pin a position inside them.
 type RecordingReader struct {
 	rec    *Recording
 	gen    *Generator // the recording's generator when this reader was made
@@ -111,36 +114,55 @@ func (r *RecordingReader) Next() Op {
 // Progress returns the instructions represented so far.
 func (r *RecordingReader) Progress() uint64 { return r.instrs }
 
-// Fill writes ops into buf while Progress() < limit, satisfying
-// BatchSource. At the end of the recording it records the ops it needs
-// first; at the cap it reads on from its own clone of the generator.
-func (r *RecordingReader) Fill(buf []Op, limit uint64) int {
+// View returns the recorded ops from the reader's position to the end
+// of their page, satisfying ViewSource. At the recording's end it
+// records up to recordChunk more ops first; at the cap it switches the
+// reader to its tail clone and returns none.
+func (r *RecordingReader) View(limit uint64) []Op {
 	rec := r.rec
 	if rec.gen != r.gen {
 		panic("trace: RecordingReader used after its recording moved to another profile")
 	}
-	n := 0
-	for r.tail == nil && n < len(buf) && r.instrs < limit {
+	if r.tail != nil {
+		return nil
+	}
+	if r.pos == rec.n {
+		if r.instrs >= limit {
+			return nil
+		}
+		// The reader is at the recording's end, so its progress is the
+		// generator's: recording up to limit records exactly the ops
+		// this read can still use.
+		rec.extend(recordChunk, limit)
 		if r.pos == rec.n {
-			// The reader is at the recording's end, so its progress is
-			// the generator's: recording up to limit records exactly
-			// the ops this fill still needs.
-			rec.extend(len(buf)-n, limit)
-			if r.pos == rec.n {
-				r.tail = rec.gen.CloneSource().(*Generator)
-				break
-			}
+			r.tail = rec.gen.CloneSource().(*Generator)
+			return nil
 		}
-		// Count off the ops the limit admits, then copy them in one go.
-		src := rec.pages[r.pos/pageOps][r.pos%pageOps:]
-		src = src[:min(len(src), len(buf)-n)]
-		k := 0
-		for ; k < len(src) && r.instrs < limit; k++ {
-			r.instrs += uint64(src[k].Gap) + 1
+	}
+	return rec.pages[r.pos/pageOps][r.pos%pageOps:]
+}
+
+// Take consumes the first k ops of the last View, satisfying
+// ViewSource.
+func (r *RecordingReader) Take(k int, instrs uint64) {
+	r.pos += k
+	r.instrs = instrs
+}
+
+// Fill writes ops into buf while Progress() < limit, satisfying
+// BatchSource: it copies the ops its views admit, then fills from the
+// tail clone once the reader is past the cap.
+func (r *RecordingReader) Fill(buf []Op, limit uint64) int {
+	n := 0
+	for n < len(buf) && r.instrs < limit {
+		v := r.View(limit)
+		if len(v) == 0 {
+			break
 		}
-		copy(buf[n:], src[:k])
-		n += k
-		r.pos += k
+		v = v[:min(len(v), len(buf)-n)]
+		k, instrs := within(v, r.instrs, limit)
+		n += copy(buf[n:], v[:k])
+		r.Take(k, instrs)
 	}
 	if r.tail != nil {
 		// The clone started where the recording ends, so its count is

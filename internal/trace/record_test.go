@@ -60,6 +60,62 @@ func TestRecordingMatchesGenerator(t *testing.T) {
 	}
 }
 
+// readViews drains src up to limit as the engine's op stream does: it
+// walks each View in place and takes a prefix of it, at most take ops
+// under the limit, and fills a buffer once the source has no ops of
+// its own in memory.
+func readViews(src ViewSource, limit uint64, take int) []Op {
+	var out []Op
+	buf := make([]Op, 1024)
+	consumed := src.Progress()
+	for consumed < limit {
+		if v := src.View(limit); len(v) > 0 {
+			k, c := within(v[:min(len(v), take)], consumed, limit)
+			out = append(out, v[:k]...)
+			src.Take(k, c)
+			consumed = c
+			continue
+		}
+		n := src.Fill(buf, limit)
+		if n == 0 {
+			break
+		}
+		out = append(out, buf[:n]...)
+		consumed = src.Progress()
+	}
+	return out
+}
+
+// TestViewsMatchGenerator: reading a recording, a whole store batch
+// and capped ones through View and Take (and Fill past the ops they
+// hold) hands out exactly a fresh generator's ops under the limit, in
+// takes that end inside a view and that run to its end, and leaves
+// Progress at the generator's count.
+func TestViewsMatchGenerator(t *testing.T) {
+	gcc, _ := ProfileByName("gcc")
+	var rec Recording
+	for _, run := range []struct {
+		limit uint64
+		take  int
+	}{{30_000, 1 << 30}, {400_000, 333}, {10_000, 5}, {420_000, 70_000}} {
+		g := NewGenerator(gcc)
+		want := readAll(g, run.limit, 1024)
+		r := rec.Reader(gcc)
+		if got := readViews(r, run.limit, run.take); !reflect.DeepEqual(got, want) || r.Progress() != g.Progress() {
+			t.Fatalf("recording to %d in takes of %d: %d ops at %d instructions, generator %d at %d",
+				run.limit, run.take, len(got), r.Progress(), len(want), g.Progress())
+		}
+		for _, maxOps := range []int{len(want), len(want) / 2, 1} {
+			b := materialize(gcc, run.limit, maxOps)
+			r := b.Replay()
+			if got := readViews(r, run.limit, run.take); !reflect.DeepEqual(got, want) || r.Progress() != g.Progress() {
+				t.Fatalf("batch of %d ops to %d in takes of %d: %d ops at %d instructions, generator %d at %d",
+					b.Ops(), run.limit, run.take, len(got), r.Progress(), len(want), g.Progress())
+			}
+		}
+	}
+}
+
 // TestRecordingReaderOutlivesProfile: a reader whose recording has
 // moved to another profile refuses to read instead of handing out the
 // other profile's ops.

@@ -96,12 +96,12 @@ func (b *Batch) Bytes() uint64 { return uint64(cap(b.ops))*opBytes + batchOverhe
 func (b *Batch) Replay() *Replay { return &Replay{b: b} }
 
 // Replay streams a batch's ops from memory. It implements Source,
-// BatchSource (the engine's zero-dispatch fill path), and
+// ViewSource (the engine reads the batch in place), and
 // CloneableSource (so engine checkpoints can capture a position
-// inside a replay). Consumers pulling past the materialized end are
-// served by a private clone of the batch's tail generator, keeping
-// the stream bit-identical to a fresh Generator no matter how far a
-// caller reads.
+// inside a replay). Consumers reading past the materialized end are
+// served through Fill by a private clone of the batch's tail
+// generator, keeping the stream bit-identical to a fresh Generator no
+// matter how far a caller reads.
 type Replay struct {
 	b      *Batch
 	pos    int
@@ -119,20 +119,33 @@ func (r *Replay) Next() Op {
 // Progress returns the instructions represented so far.
 func (r *Replay) Progress() uint64 { return r.instrs }
 
+// View returns the batch's ops from the replay's position on,
+// satisfying ViewSource; none once the replay is at the batch end.
+func (r *Replay) View(uint64) []Op {
+	if r.tail != nil {
+		return nil
+	}
+	return r.b.ops[r.pos:]
+}
+
+// Take consumes the first k ops of the last View, satisfying
+// ViewSource.
+func (r *Replay) Take(k int, instrs uint64) {
+	r.pos += k
+	r.instrs = instrs
+}
+
 // Fill writes ops into buf while Progress() < limit, satisfying
-// BatchSource with exactly Generator.Fill's stopping rule. It counts
-// off the batch ops the limit admits and copies them in one go; past
-// the batch end it fills from its clone of the tail generator.
+// BatchSource with exactly Generator.Fill's stopping rule. It copies
+// the batch ops the limit admits in one go; past the batch end it
+// fills from its clone of the tail generator.
 func (r *Replay) Fill(buf []Op, limit uint64) int {
 	n := 0
 	if r.tail == nil {
-		src := r.b.ops[r.pos:]
-		src = src[:min(len(src), len(buf))]
-		for ; n < len(src) && r.instrs < limit; n++ {
-			r.instrs += uint64(src[n].Gap) + 1
-		}
-		copy(buf, src[:n])
-		r.pos += n
+		v := r.b.ops[r.pos:]
+		k, instrs := within(v[:min(len(v), len(buf))], r.instrs, limit)
+		n = copy(buf, v[:k])
+		r.Take(k, instrs)
 		if n == len(buf) || r.instrs >= limit {
 			return n
 		}

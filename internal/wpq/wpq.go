@@ -14,59 +14,18 @@ import (
 	"plp/internal/stats"
 )
 
-// cycleHeap is a typed binary min-heap of completion times. It
-// deliberately avoids container/heap: the interface{} boxing of
-// heap.Push/Pop allocates on every persist, and the WPQ sits on the
-// simulator's per-store hot path (the steady-state loop is guarded to
-// zero allocations).
-type cycleHeap []sim.Cycle
-
-func (h *cycleHeap) push(v sim.Cycle) {
-	*h = append(*h, v)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-// popMin removes and returns the smallest completion time. The caller
-// guarantees the heap is non-empty.
-func (h *cycleHeap) popMin() sim.Cycle {
-	s := *h
-	min := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s) && s[l] < s[small] {
-			small = l
-		}
-		if r < len(s) && s[r] < s[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	return min
-}
-
 // Queue is a WPQ of fixed capacity.
 type Queue struct {
 	capacity int
-	inflight cycleHeap // completion times of occupied entries
+	// done[head:] holds the completion times of the occupied entries in
+	// ascending order. Completions arrive almost in order (a strict
+	// scheme's root updates are in persist order), so Occupy inserts
+	// from the back, usually without moving anything, and the entry
+	// freed first is the one at the head. done is compacted to the
+	// front of its array when the array fills, so the steady state
+	// allocates nothing.
+	done []sim.Cycle
+	head int
 
 	// Admitted counts persists that entered the queue; FullStalls
 	// accumulates cycles spent waiting for a free entry.
@@ -82,7 +41,7 @@ func New(capacity int) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Queue{capacity: capacity}
+	return &Queue{capacity: capacity, done: make([]sim.Cycle, 0, 4*capacity)}
 }
 
 // Capacity returns the entry count.
@@ -93,17 +52,22 @@ func (q *Queue) Capacity() int { return q.capacity }
 // (equal to ready unless the queue is full). The caller must follow up
 // with Occupy once the persist's completion time is known.
 func (q *Queue) Admit(ready sim.Cycle) sim.Cycle {
+	d, h := q.done, q.head
 	// Drop entries that have already completed by the ready time.
-	for len(q.inflight) > 0 && q.inflight[0] <= ready {
-		q.inflight.popMin()
+	for h < len(d) && d[h] <= ready {
+		h++
 	}
+	// A full queue frees its earliest entries until one is left for
+	// this persist; the grant waits for the last of them.
 	granted := ready
-	for len(q.inflight) >= q.capacity {
-		free := q.inflight.popMin()
-		if free > granted {
-			granted = free
-		}
+	if over := len(d) - h - (q.capacity - 1); over > 0 {
+		h += over
+		granted = max(granted, d[h-1])
 	}
+	if h == len(d) {
+		q.done, h = d[:0], 0
+	}
+	q.head = h
 	q.FullStalls += granted - ready
 	q.WaitLatency.Add(uint64(granted - ready))
 	return granted
@@ -113,37 +77,43 @@ func (q *Queue) Admit(ready sim.Cycle) sim.Cycle {
 // (when the whole memory tuple has persisted and the entry unlocks).
 func (q *Queue) Occupy(done sim.Cycle) {
 	q.Admitted++
-	q.inflight.push(done)
+	d := q.done
+	if len(d) == cap(d) && q.head > 0 {
+		d = d[:copy(d, d[q.head:])]
+		q.head = 0
+	}
+	d = append(d, done)
+	i := len(d) - 1
+	for ; i > q.head && d[i-1] > done; i-- {
+		d[i] = d[i-1]
+	}
+	d[i] = done
+	q.done = d
 }
 
 // DrainTime returns the completion time of the latest in-flight entry.
 func (q *Queue) DrainTime() sim.Cycle {
-	var m sim.Cycle
-	for _, c := range q.inflight {
-		if c > m {
-			m = c
-		}
+	if q.head == len(q.done) {
+		return 0
 	}
-	return m
+	return q.done[len(q.done)-1]
 }
 
 // InFlight returns the number of occupied entries (as of the last
 // Admit's ready time).
-func (q *Queue) InFlight() int { return len(q.inflight) }
+func (q *Queue) InFlight() int { return len(q.done) - q.head }
 
 // InFlightAt returns the number of entries still occupied at the
 // given cycle: admitted persists whose completion lies beyond it.
-// This is the telemetry sampler's occupancy probe; it scans the
-// (capacity-bounded) heap without mutating it.
+// This is the telemetry sampler's occupancy probe; it counts back from
+// the latest completion without mutating the queue.
 func (q *Queue) InFlightAt(at sim.Cycle) int {
 	n := 0
-	for _, done := range q.inflight {
-		if done > at {
-			n++
-		}
+	for i := len(q.done) - 1; i >= q.head && q.done[i] > at; i-- {
+		n++
 	}
 	if n > q.capacity {
-		// Epoch flushes admit a whole epoch in bulk, so the heap
+		// Epoch flushes admit a whole epoch in bulk, so the queue
 		// transiently holds more completion times than entries (in the
 		// real queue, earlier persists free entries for later ones).
 		// Physical occupancy is still bounded by the entry count.

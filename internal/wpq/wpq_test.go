@@ -1,6 +1,7 @@
 package wpq
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"plp/internal/sim"
@@ -119,14 +120,14 @@ func TestWaitLatencyHistogram(t *testing.T) {
 	}
 }
 
-// TestQueueSteadyStateAllocs guards the typed heap: once the queue's
-// backing array has grown to capacity, Admit/Occupy cycles allocate
-// nothing (container/heap's interface boxing used to allocate on every
-// push and pop).
+// TestQueueSteadyStateAllocs guards the ordered queue: once its array
+// has grown, Admit/Occupy cycles allocate nothing (compaction reuses
+// the array, and container/heap's interface boxing, which once
+// allocated on every push and pop, is gone).
 func TestQueueSteadyStateAllocs(t *testing.T) {
 	q := New(32)
 	at := sim.Cycle(0)
-	for i := 0; i < 64; i++ { // grow the heap past capacity once
+	for i := 0; i < 64; i++ { // fill the array past capacity once
 		g := q.Admit(at)
 		q.Occupy(g + 100)
 		at += 3
@@ -141,23 +142,36 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestHeapOrdering exercises the hand-rolled sift operations against a
-// reference: popMin must always return the minimum of what was pushed.
-func TestHeapOrdering(t *testing.T) {
-	var h cycleHeap
-	vals := []sim.Cycle{9, 3, 7, 1, 8, 2, 2, 100, 0, 55, 4}
-	for _, v := range vals {
-		h.push(v)
-	}
-	prev := sim.Cycle(0)
-	for range vals {
-		v := h.popMin()
-		if v < prev {
-			t.Fatalf("popMin out of order: %d after %d", v, prev)
+// BenchmarkAdmitOccupy times one Admit/Occupy pair in the two patterns
+// the engine drives: a strict scheme's persist stream, whose
+// completions arrive in order, and epoch flushes that admit 32
+// persists and then occupy them with out-of-order completions.
+func BenchmarkAdmitOccupy(b *testing.B) {
+	b.Run("strict", func(b *testing.B) {
+		q := New(32)
+		at := sim.Cycle(0)
+		for i := 0; i < b.N; i++ {
+			q.Occupy(q.Admit(at) + 360)
+			at += 7
 		}
-		prev = v
-	}
-	if len(h) != 0 {
-		t.Fatalf("heap not drained: %d left", len(h))
-	}
+	})
+	b.Run("epoch", func(b *testing.B) {
+		q := New(32)
+		rng := rand.New(rand.NewPCG(1, 2))
+		var lat [32]sim.Cycle
+		for i := range lat {
+			lat[i] = 360 + sim.Cycle(rng.IntN(400))
+		}
+		at := sim.Cycle(0)
+		for i := 0; i < b.N; i += len(lat) {
+			grant := at
+			for range lat {
+				grant = max(grant, q.Admit(at))
+			}
+			for _, l := range lat {
+				q.Occupy(grant + l)
+			}
+			at += 250
+		}
+	})
 }

@@ -4,8 +4,8 @@
 # and the geometric sampler under it, the data cache and cache
 # hierarchy lookups (synthetic patterns, and replays of profiles' op
 # streams through a counter cache and the paper's data hierarchy),
-# the NVM write model, PTT and ETT scheduling, and
-# the event engine's schedule-and-run loop. With two inputs (a git ref, or two saved outputs) it
+# the NVM write model, the WPQ's admit/occupy pair, PTT and ETT
+# scheduling, and the event engine's schedule-and-run loop. With two inputs (a git ref, or two saved outputs) it
 # reports the delta through benchstat when that is installed, falling
 # back to a plain side-by-side listing otherwise. Nothing here gates a
 # build — the numbers are informational, like the registry's
@@ -37,6 +37,7 @@ bench() { # bench <dir> <outfile>
 		go test -run '^$' -bench 'BenchmarkGeomSample|BenchmarkNewGeom' -benchmem -count "$COUNT" ./internal/xrand
 		go test -run '^$' -bench 'BenchmarkAccess|BenchmarkReplay' -benchmem -count "$COUNT" ./internal/cache ./internal/hier
 		go test -run '^$' -bench 'BenchmarkWrite' -benchmem -count "$COUNT" ./internal/nvm
+		go test -run '^$' -bench 'BenchmarkAdmitOccupy' -benchmem -count "$COUNT" ./internal/wpq
 		go test -run '^$' -bench 'BenchmarkPipelinedPersist' -benchmem -count "$COUNT" ./internal/ptt
 		go test -run '^$' -bench 'BenchmarkScheduleEpoch' -benchmem -count "$COUNT" ./internal/ett
 		go test -run '^$' -bench 'BenchmarkEngineScheduleRun' -benchmem -count "$COUNT" ./internal/sim
