@@ -13,13 +13,13 @@ import (
 // write-merge table (one cycle per data, counter and MAC line, ~77MB
 // for the synthetic address map), the epoch-membership generation
 // set, the precomputed BMT path table, the trace batch buffer, the
-// machine's caches (three metadata caches and the data hierarchy,
-// 1.4MB at the defaults), and a recording of the last profile's op
-// stream. Sweeps that execute many runs back to back hand the same
-// arena to each Config so the big allocations happen once per worker
-// instead of once per run, and Run generates a profile's stream once
-// for all the runs that read it from one arena; results are
-// bit-identical with or without one.
+// machine's caches (three metadata caches and, once a run has read
+// one, the data hierarchy, 1.4MB together at the defaults), and a
+// recording of the last profile's op stream. Sweeps that execute many
+// runs back to back hand the same arena to each Config so the big
+// allocations happen once per worker instead of once per run, and Run
+// generates a profile's stream once for all the runs that read it from
+// one arena; results are bit-identical with or without one.
 //
 // An arena is not safe for concurrent use: at most one run may use it
 // at a time. The zero value is ready to use.
@@ -49,32 +49,33 @@ func (a *Arena) Holds(p trace.Profile) bool { return a.rec.Holds(p) }
 
 // caches returns the run's three metadata caches and data hierarchy,
 // empty: the arena's own, reset, where their geometry matches cfg's,
-// else new ones that the arena keeps.
+// else new ones that the arena keeps. A run without a data hierarchy
+// (see Config.readsData) gets nil and leaves the arena's alone.
 func (a *Arena) caches(cfg Config) (ctr, mac, bmt *cache.Cache, data *hier.Hierarchy) {
 	a.ctr = reuseMDC(a.ctr, "ctr", cfg.CtrCacheKB, cfg.MDCWays)
 	a.mac = reuseMDC(a.mac, "mac", cfg.MACCacheKB, cfg.MDCWays)
 	a.bmt = reuseMDC(a.bmt, "bmt", cfg.BMTCacheKB, cfg.MDCWays)
-	if a.data != nil && fits(a.data.Levels()[len(a.data.Levels())-1], cfg.LLCKB, cfg.LLCWays) {
-		a.data.Reset()
-	} else {
-		a.data = hier.Default(cfg.LLCKB, cfg.LLCWays)
+	if !cfg.readsData() {
+		return a.ctr, a.mac, a.bmt, nil
 	}
+	if a.data != nil {
+		if lines, ways := a.data.LLC(); lines == cfg.LLCKB*kb/addr.BlockBytes && ways == cfg.LLCWays {
+			a.data.Reset()
+			return a.ctr, a.mac, a.bmt, a.data
+		}
+	}
+	a.data = hier.Default(cfg.LLCKB, cfg.LLCWays)
 	return a.ctr, a.mac, a.bmt, a.data
 }
 
 // reuseMDC returns c reset when it fits the geometry, else a new
 // metadata cache.
 func reuseMDC(c *cache.Cache, name string, kbs, ways int) *cache.Cache {
-	if c != nil && fits(c, kbs, ways) {
+	if c != nil && c.Capacity() == kbs*kb/addr.BlockBytes && c.Ways() == ways {
 		c.Reset()
 		return c
 	}
 	return newMDC(name, kbs, ways)
-}
-
-// fits reports whether c has a capacity of kbs KB and ways ways.
-func fits(c *cache.Cache, kbs, ways int) bool {
-	return c.Capacity() == kbs*kb/addr.BlockBytes && c.Ways() == ways
 }
 
 // cycles returns a zeroed cycle buffer of length n, reusing the

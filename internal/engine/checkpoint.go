@@ -140,8 +140,12 @@ func (ck *Checkpoint) Resume(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("engine: checkpoint %+v cannot resume diverged config %+v", ck.key.Cfg, got)
 	}
 	m := newMachine(cfg)
-	if err := m.data.Restore(ck.data); err != nil {
-		return Result{}, fmt.Errorf("engine: resume: %w", err)
+	// A run without a data hierarchy (see Config.readsData) has none to
+	// restore; it shares the checkpoint of the runs that do.
+	if m.data != nil {
+		if err := m.data.Restore(ck.data); err != nil {
+			return Result{}, fmt.Errorf("engine: resume: %w", err)
+		}
 	}
 	if err := m.ctrCache.Restore(ck.ctr); err != nil {
 		return Result{}, fmt.Errorf("engine: resume: %w", err)

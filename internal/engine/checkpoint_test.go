@@ -10,7 +10,8 @@ import (
 // TestCheckpointResumeEquivalence is the checkpoint determinism
 // contract: for every scheme, with and without a shared Arena,
 // Checkpoint→Resume produces the bit-identical Result to an
-// uninterrupted RunSource of the same config.
+// uninterrupted RunSource of the same config. Schemes without a data
+// hierarchy resume the same checkpoint and skip its hierarchy.
 func TestCheckpointResumeEquivalence(t *testing.T) {
 	prof := trace.Profiles()[0]
 	schemes := AllSchemes()
@@ -81,6 +82,7 @@ func TestCheckpointServesMeasureStageVariants(t *testing.T) {
 		{Scheme: SchemeSP, Instructions: 40_000, Warmup: 15_000, MACCacheKB: 32, BMTCacheKB: 32},
 		(Config{Scheme: SchemeSP, Instructions: 40_000, Warmup: 15_000}).WithMACLatency(0),
 		{Scheme: SchemeSecureWB, Instructions: 40_000, Warmup: 15_000, FullMemory: true},
+		{Scheme: SchemeSP, Instructions: 40_000, Warmup: 15_000, ReadVerification: true},
 	}
 	for _, cfg := range variants {
 		want := Run(cfg, prof)

@@ -213,14 +213,30 @@ func (c Config) Normalized() Config {
 
 // Key returns the config's identity as a cached simulation result:
 // the normalized config with its three hooks (Observer, Arena, Cancel)
-// cleared, since none of them changes timing. Two configs simulate
+// cleared, since none of them changes timing, and, for a run without
+// a data hierarchy (see readsData), the LLC geometry set to its
+// default, since only that hierarchy reads it. Two configs simulate
 // identically when their keys are equal, so memoization layers use the
 // key as a map key; comparing configs any other way could compare an
 // uncomparable hook and panic.
 func (c Config) Key() Config {
 	c.fill()
+	if !c.readsData() {
+		c.LLCKB, c.LLCWays = 0, 0
+		c.fill()
+	}
 	c.Observer, c.Arena, c.Cancel = nil, nil, nil
 	return c
+}
+
+// readsData reports whether a run of c has a data hierarchy: its
+// scheme is write-back (secure_WB), whose stores and loads go through
+// the hierarchy, or it models ReadVerification, whose loads look their
+// blocks up there. No other run reads the hierarchy, so no other run
+// builds, warms or restores one, and its LLC geometry changes nothing.
+func (c Config) readsData() bool {
+	spec := specOf(c.Scheme)
+	return spec != nil && spec.writeBack || c.ReadVerification
 }
 
 func (c *Config) fill() {
@@ -344,9 +360,10 @@ type machine struct {
 	ctrCache *cache.Cache
 	macCache *cache.Cache
 	bmtCache *cache.Cache
-	// data is the Table III L1/L2/LLC write-back hierarchy; only the
-	// secure_WB baseline exercises it (write-through schemes bypass it
-	// for stores, and EP schemes track epochs directly).
+	// data is the Table III L1/L2/LLC write-back hierarchy, nil for a
+	// run that never reads it: only the secure_WB baseline and
+	// ReadVerification's loads do (write-through schemes bypass it for
+	// stores, and EP schemes track epochs directly).
 	data *hier.Hierarchy
 
 	mem *nvm.Memory
@@ -622,17 +639,19 @@ func (m *machine) persistWrites(b addr.Block, at sim.Cycle) sim.Cycle {
 	return done
 }
 
-// warm streams instructions through the data hierarchy and counter
-// cache without timing, populating them before the measured region.
+// warm streams instructions through the data hierarchy, if the run has
+// one, and the counter cache without timing, populating them before
+// the measured region.
 func (m *machine) warm(st *opStream, instrs uint64) {
 	warmCaches(m.data, m.ctrCache, m.cfg.IdealMDC, st, instrs)
 }
 
 // warmCaches is the warm-up loop shared by RunSource and checkpoint
-// construction: it streams instructions through the data hierarchy and
-// counter cache without timing, walking each batch in place.
-// Warm-up state therefore depends on exactly the stream prefix and
-// these two structures' geometry — the fields warmupConfig keeps.
+// construction: it streams instructions through the data hierarchy
+// (unless data is nil) and counter cache without timing, walking each
+// batch in place. Warm-up state therefore depends on exactly the
+// stream prefix and these two structures' geometry — the fields
+// warmupConfig keeps.
 func warmCaches(data *hier.Hierarchy, ctr *cache.Cache, idealMDC bool, st *opStream, instrs uint64) {
 	for st.consumed < instrs {
 		ops := st.ops()
@@ -643,7 +662,9 @@ func warmCaches(data *hier.Hierarchy, ctr *cache.Cache, idealMDC bool, st *opStr
 		for ; k < len(ops) && consumed < instrs; k++ {
 			op := ops[k]
 			consumed += uint64(op.Gap) + 1
-			data.Access(cache.Line(op.Block), op.Kind == trace.OpStore)
+			if data != nil {
+				data.Access(cache.Line(op.Block), op.Kind == trace.OpStore)
+			}
 			if !idealMDC {
 				ctr.Access(cache.Line(addr.PageOfBlock(op.Block)), false)
 			}
@@ -673,8 +694,7 @@ func (m *machine) loadAccess(b addr.Block) {
 // side's working set (and the paper's calibration) is undisturbed —
 // the traffic reported is therefore an upper bound.
 func (m *machine) verifyRead(b addr.Block, at sim.Cycle) {
-	depth := m.data.Access(cache.Line(b), false)
-	if depth < len(m.data.Levels()) {
+	if m.data.Access(cache.Line(b), false) < m.data.Depth() {
 		return // cache hit: verified long ago
 	}
 	// All fetches of the verification flow issue independently at the

@@ -444,16 +444,22 @@ func TestCoalescingReductionZeroOnNonEpoch(t *testing.T) {
 }
 
 // TestLLCGeometryOnlyReachesWriteBack pins why the LLC sweep moves
-// only the baseline: the data hierarchy is read in the measured region
+// only the baseline, and why Config.Key may drop the LLC geometry of
+// every other run: the data hierarchy is read in the measured region
 // only by the write-back scheme (and by ReadVerification, off here), so
 // every other scheme returns the same Result at 1 MB/32-way,
-// 2 MB/16-way and 4 MB/32-way, warm-up included. secure_WB, the
-// control, must differ somewhere. -short checks every third benchmark.
+// 2 MB/16-way, 256 KB/32-way and 4 MB/32-way, warm-up included.
+// secure_WB, the control, must differ somewhere. At 256 KB the LLC
+// evicts dirty lines within the window (secure_WB must write some
+// back), so a scheme whose persisted stores leaked into a data
+// hierarchy would see its evictions there. -short checks every third
+// benchmark.
 func TestLLCGeometryOnlyReachesWriteBack(t *testing.T) {
-	geoms := []struct{ kb, ways int }{{4096, 32}, {1024, 32}, {2048, 16}}
+	geoms := []struct{ kb, ways int }{{4096, 32}, {1024, 32}, {2048, 16}, {256, 32}}
 	const instr, warmup = 100_000, 50_000
 	ar := NewArena()
 	wbMoved := false
+	var small uint64 // secure_WB's writebacks at 256 KB
 	for i, p := range trace.Profiles() {
 		if testing.Short() && i%3 != 0 {
 			continue
@@ -463,6 +469,9 @@ func TestLLCGeometryOnlyReachesWriteBack(t *testing.T) {
 			for i, g := range geoms {
 				cfg := Config{Scheme: s, Instructions: instr, Warmup: warmup, LLCKB: g.kb, LLCWays: g.ways, Arena: ar}
 				r := Run(cfg, p)
+				if s == SchemeSecureWB && g.kb == 256 {
+					small += r.Writebacks
+				}
 				if i == 0 {
 					first = r
 					continue
@@ -478,5 +487,8 @@ func TestLLCGeometryOnlyReachesWriteBack(t *testing.T) {
 	}
 	if !wbMoved {
 		t.Error("no LLC geometry moved secure_WB on any benchmark; the test would not notice the hierarchy being ignored")
+	}
+	if small == 0 {
+		t.Error("secure_WB wrote no dirty line back at 256 KB; the test would not see a scheme's stores leak into a hierarchy")
 	}
 }

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"testing"
 
+	"plp/internal/engine"
 	"plp/internal/nvm"
 	"plp/internal/sim"
+	"plp/internal/telemetry"
 	"plp/internal/trace"
 )
 
@@ -18,7 +20,7 @@ import (
 // past the end of knobs takes the first value of its range, the
 // default. Runs stay at most 20k instructions, so one input runs all
 // twelve schemes in well under a second.
-func fuzzConfig(knobs []byte) (Config, trace.Profile) {
+func fuzzConfig(knobs []byte) (engine.Config, trace.Profile) {
 	next := func() int {
 		if len(knobs) == 0 {
 			return 0
@@ -30,7 +32,7 @@ func fuzzConfig(knobs []byte) (Config, trace.Profile) {
 	pick := func(vals ...int) int { return vals[next()%len(vals)] }
 	profs := trace.Profiles()
 	prof := profs[next()%len(profs)]
-	cfg := Config{
+	cfg := engine.Config{
 		Instructions:       uint64(1_000 + pick(0, 4_000, 19_000)),
 		Warmup:             uint64(pick(0, 2_000, 10_000)),
 		BMTLevels:          pick(0, -1, 1, 2, 5, 12),
@@ -61,31 +63,46 @@ func fuzzConfig(knobs []byte) (Config, trace.Profile) {
 
 // countingObserver checks the observer stream of one run as it
 // arrives: persist records in program order from Seq 0, and counts of
-// the persists, epochs and End calls to hold against the Result.
+// the persists, epochs and End calls to hold against the Result. Its
+// telemetry sampler takes every sample point and the End probe into
+// windows small enough to fold, whose counters must sum to the
+// Result's.
 type countingObserver struct {
+	*telemetry.Sampler
 	persists, epochs, ends uint64
 	outOfOrder             string // the first out-of-order persist, if any
 	end                    struct{ persists, nvmReads, nvmWrites uint64 }
 }
 
-func (o *countingObserver) Persist(r PersistRecord) {
+func newCountingObserver() *countingObserver {
+	return &countingObserver{Sampler: telemetry.NewSampler(500, 4, engine.ComponentLabels())}
+}
+
+func (o *countingObserver) Persist(r engine.PersistRecord) {
 	if r.Seq != o.persists && o.outOfOrder == "" {
 		o.outOfOrder = fmt.Sprintf("persist record %d carries Seq %d", o.persists, r.Seq)
 	}
 	o.persists++
 }
 
-func (o *countingObserver) Epoch(EpochRecord) { o.epochs++ }
+func (o *countingObserver) Epoch(engine.EpochRecord) { o.epochs++ }
 
-func (o *countingObserver) Sample(Probe) {}
-
-func (o *countingObserver) End(p Probe) {
+func (o *countingObserver) End(p engine.Probe) {
 	o.ends++
 	o.end.persists, o.end.nvmReads, o.end.nvmWrites = p.Persists(), p.NVMReads(), p.NVMWrites()
+	o.Sampler.End(p)
 }
 
 // check reports how the observed stream disagrees with res.
-func (o *countingObserver) check(res Result) string {
+func (o *countingObserver) check(res engine.Result) string {
+	var sum telemetry.Window
+	windows := o.Snapshot().Windows
+	for _, w := range windows {
+		sum.Persists += w.Persists
+		sum.Epochs += w.Epochs
+		sum.NVMReads += w.NVMReads
+		sum.NVMWrites += w.NVMWrites
+	}
 	switch {
 	case o.outOfOrder != "":
 		return o.outOfOrder
@@ -98,6 +115,9 @@ func (o *countingObserver) check(res Result) string {
 	case o.end.persists != res.Persists || o.end.nvmReads != res.NVMReads || o.end.nvmWrites != res.NVMWrites:
 		return fmt.Sprintf("End probe persists/reads/writes %d/%d/%d, Result %d/%d/%d",
 			o.end.persists, o.end.nvmReads, o.end.nvmWrites, res.Persists, res.NVMReads, res.NVMWrites)
+	case sum.Persists != res.Persists || sum.Epochs != res.Epochs || sum.NVMReads != res.NVMReads || sum.NVMWrites != res.NVMWrites:
+		return fmt.Sprintf("%d telemetry windows sum to persists/epochs/reads/writes %d/%d/%d/%d, Result %d/%d/%d/%d",
+			len(windows), sum.Persists, sum.Epochs, sum.NVMReads, sum.NVMWrites, res.Persists, res.Epochs, res.NVMReads, res.NVMWrites)
 	}
 	return ""
 }
@@ -110,7 +130,9 @@ func (o *countingObserver) check(res Result) string {
 // that a run leaves behind in the arena, its views of the recorded op
 // stream, the write queue or the PTT walk. The observer must see the
 // persists in program order, one record per persist and per epoch,
-// and an End probe carrying the Result's totals.
+// an End probe carrying the Result's totals, and telemetry windows
+// whose persists, epochs, NVM reads and NVM writes sum to the
+// Result's.
 func FuzzEngineConfig(f *testing.F) {
 	// Two NVM blocks Validate once accepted and nvm.New then panicked
 	// on, and a slow write drain behind a two-entry queue.
@@ -118,7 +140,7 @@ func FuzzEngineConfig(f *testing.F) {
 	f.Add([]byte{}, int8(0), int8(-3), 0.0, 0.0, 0.0, 0.0)
 	f.Add([]byte{}, int8(0), int8(2), 0.0, 0.0, 0.0, 200.0)
 	f.Add([]byte{4, 1, 1, 4, 3, 3, 2, 3, 3, 3, 4, 3, 4, 3, 4, 2, 2, 14}, int8(3), int8(5), 1.5, 20.0, 90.0, 7.0)
-	ar := NewArena()
+	ar := engine.NewArena()
 	f.Fuzz(func(t *testing.T, knobs []byte, banks, writeQueue int8, cyclesPerNS, readNS, writeNS, writeBusNS float64) {
 		cfg, prof := fuzzConfig(knobs)
 		// Mod keeps finite durations under 1000 ns and turns an
@@ -131,23 +153,23 @@ func FuzzEngineConfig(f *testing.F) {
 			WriteBusNS:  math.Mod(writeBusNS, 1000),
 			WriteQueue:  int(writeQueue),
 		}
-		for _, s := range Schemes() {
+		for _, s := range engine.Schemes() {
 			cfg.Scheme = s
 			if cfg.Validate() != nil {
 				continue
 			}
-			res := Run(cfg, prof)
+			res := engine.Run(cfg, prof)
 			if got := res.Attribution.Total(); got != res.Cycles {
 				t.Fatalf("%s %+v: attribution sums to %d of %d cycles", s, cfg, got, res.Cycles)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
-			obs := &countingObserver{}
+			obs := newCountingObserver()
 			hooked := cfg
 			hooked.Arena, hooked.Cancel, hooked.Observer = ar, ctx, obs
 			if hooked.Key() != cfg.Key() {
 				t.Fatalf("%s: attaching an arena, a Canceler and an observer changed the key", s)
 			}
-			again := Run(hooked, prof)
+			again := engine.Run(hooked, prof)
 			cancel()
 			if !reflect.DeepEqual(res, again) {
 				t.Fatalf("%s %+v: the rerun with an arena, an unfired Canceler and an observer differs", s, cfg)

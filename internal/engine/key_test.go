@@ -86,14 +86,30 @@ func (observerList) End(Probe)             {}
 var hooks = map[string]bool{"Observer": true, "Arena": true, "Cancel": true}
 
 // TestConfigKeyInvalidation: every row of the mutator table changes
-// Key except the three hooks, which must leave it equal. Defaults and
-// their explicit spellings share a key.
+// Key except the three hooks, which must leave it equal, and the LLC
+// geometry of a run without a data hierarchy (sp, where it simulates
+// nothing), which must too; for secure_WB and for sp with
+// ReadVerification, which read the hierarchy, the LLC rows change it.
+// Defaults and their explicit spellings share a key.
 func TestConfigKeyInvalidation(t *testing.T) {
 	base := Config{Scheme: SchemeSP, Instructions: 40_000, Warmup: 15_000}
-	for name, mutate := range configMutators(t) {
-		changed := mutate(base).Key() != base.Key()
-		if changed == hooks[name] {
-			t.Errorf("mutating %s: key changed = %v, want %v", name, changed, !hooks[name])
+	mutators := configMutators(t)
+	for _, s := range []Scheme{SchemeSP, SchemeSecureWB} {
+		b := base
+		b.Scheme = s
+		for name, mutate := range mutators {
+			changed := mutate(b).Key() != b.Key()
+			keep := hooks[name] || s == SchemeSP && (name == "LLCKB" || name == "LLCWays")
+			if changed == keep {
+				t.Errorf("%s, mutating %s: key changed = %v, want %v", s, name, changed, !keep)
+			}
+		}
+	}
+	verify := base
+	verify.ReadVerification = true
+	for _, name := range []string{"LLCKB", "LLCWays"} {
+		if mutators[name](verify).Key() == verify.Key() {
+			t.Errorf("sp with ReadVerification, mutating %s: key unchanged", name)
 		}
 	}
 	explicit := base.WithMACLatency(40)

@@ -80,6 +80,27 @@ func TestMemoizedSweepBitIdentical(t *testing.T) {
 	}
 }
 
+// countSims counts, until the test ends, the simulations the harness
+// executes through any of its three engine entry points.
+func countSims(t *testing.T) *atomic.Int64 {
+	var n atomic.Int64
+	origRun, origSrc, origResume := engineRun, engineRunSource, engineResume
+	engineRun = func(cfg engine.Config, p trace.Profile) engine.Result {
+		n.Add(1)
+		return origRun(cfg, p)
+	}
+	engineRunSource = func(cfg engine.Config, bench string, ipc float64, src trace.Source) engine.Result {
+		n.Add(1)
+		return origSrc(cfg, bench, ipc, src)
+	}
+	engineResume = func(ck *engine.Checkpoint, cfg engine.Config) (engine.Result, error) {
+		n.Add(1)
+		return origResume(ck, cfg)
+	}
+	t.Cleanup(func() { engineRun, engineRunSource, engineResume = origRun, origSrc, origResume })
+	return &n
+}
+
 // TestMemoSecondPassRunsNoEngine: with a warm memo, a repeated sweep
 // must not execute a single engine simulation.
 func TestMemoSecondPassRunsNoEngine(t *testing.T) {
@@ -87,24 +108,9 @@ func TestMemoSecondPassRunsNoEngine(t *testing.T) {
 	store := trace.NewStore(0)
 	Record(memoTestOpts(memo, store))
 
-	var runs, sourceRuns, resumes atomic.Int64
-	origRun, origSrc, origResume := engineRun, engineRunSource, engineResume
-	engineRun = func(cfg engine.Config, p trace.Profile) engine.Result {
-		runs.Add(1)
-		return origRun(cfg, p)
-	}
-	engineRunSource = func(cfg engine.Config, bench string, ipc float64, src trace.Source) engine.Result {
-		sourceRuns.Add(1)
-		return origSrc(cfg, bench, ipc, src)
-	}
-	engineResume = func(ck *engine.Checkpoint, cfg engine.Config) (engine.Result, error) {
-		resumes.Add(1)
-		return origResume(ck, cfg)
-	}
-	defer func() { engineRun, engineRunSource, engineResume = origRun, origSrc, origResume }()
-
+	sims := countSims(t)
 	Record(memoTestOpts(memo, store))
-	if n := runs.Load() + sourceRuns.Load() + resumes.Load(); n != 0 {
+	if n := sims.Load(); n != 0 {
 		t.Fatalf("warm-memo sweep executed %d engine runs, want 0", n)
 	}
 }
@@ -136,7 +142,8 @@ func TestMemoColdPassUsesResume(t *testing.T) {
 
 // TestMemoKeyInvalidation: the memo key is the trace identity plus the
 // config's Key, so Arena and Cancel never split a key and explicit
-// defaults collide; a config with an observer is not memoizable. The
+// defaults collide, and the LLC geometry splits it only for runs with
+// a data hierarchy; a config with an observer is not memoizable. The
 // engine's key tests check Key itself field by field.
 func TestMemoKeyInvalidation(t *testing.T) {
 	base := engine.Config{Scheme: engine.SchemeSP, Instructions: 50_000, Warmup: 10_000}
@@ -164,12 +171,53 @@ func TestMemoKeyInvalidation(t *testing.T) {
 	if key, _ := memoKeyOf(explicit, "b", 1); key != baseKey {
 		t.Error("explicitly spelling the defaults must hit the same key")
 	}
+	// sp has no data hierarchy, so its LLC geometry simulates nothing
+	// and shares the key; secure_WB and ReadVerification read the
+	// hierarchy, so theirs splits it.
+	smallLLC := base
+	smallLLC.LLCKB, smallLLC.LLCWays = 1024, 16
+	if key, _ := memoKeyOf(smallLLC, "b", 1); key != baseKey {
+		t.Error("sp's LLC geometry split the memo key")
+	}
+	for _, mutate := range []func(*engine.Config){
+		func(c *engine.Config) { c.Scheme = engine.SchemeSecureWB },
+		func(c *engine.Config) { c.ReadVerification = true },
+	} {
+		reader, readerSmall := base, smallLLC
+		mutate(&reader)
+		mutate(&readerSmall)
+		k1, _ := memoKeyOf(reader, "b", 1)
+		k2, _ := memoKeyOf(readerSmall, "b", 1)
+		if k1 == k2 {
+			t.Errorf("%s (ReadVerification %v): the LLC geometry did not split the memo key", reader.Scheme, reader.ReadVerification)
+		}
+	}
 	// Trace identity is part of the key.
 	if k, _ := memoKeyOf(base, "other", 1); k == baseKey {
 		t.Error("bench missing from memo key")
 	}
 	if k, _ := memoKeyOf(base, "b", 2); k == baseKey {
 		t.Error("seed missing from memo key")
+	}
+}
+
+// TestMemoLLCSweepSharesHierarchyFreeRuns: coalescing has no data
+// hierarchy, so its runs at 1, 2 and 4 MB share one memo key. An
+// LLCSweep through a memo therefore executes four simulations per
+// benchmark, secure_WB at each size and coalescing once, two fewer
+// than one per point, and renders the table a cold LLCSweep renders.
+func TestMemoLLCSweepSharesHierarchyFreeRuns(t *testing.T) {
+	opts := Options{Instructions: 60_000, Warmup: 20_000, Benches: []string{"gcc", "milc"}}
+	cold := LLCSweep(opts)
+
+	sims := countSims(t)
+	opts.Memo = NewMemo(0)
+	memoized := LLCSweep(opts)
+	if want := int64(4 * len(opts.Benches)); sims.Load() != want {
+		t.Errorf("memoized LLCSweep executed %d simulations, want %d", sims.Load(), want)
+	}
+	if memoized.Table.Markdown() != cold.Table.Markdown() || !reflect.DeepEqual(memoized.Summary, cold.Summary) {
+		t.Errorf("memoized LLCSweep renders\n%s\ncold\n%s", memoized.Table.Markdown(), cold.Table.Markdown())
 	}
 }
 

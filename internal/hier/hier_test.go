@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"slices"
 	"testing"
 
 	"plp/internal/cache"
@@ -10,18 +11,25 @@ import (
 
 func tiny(t *testing.T) *Hierarchy {
 	t.Helper()
-	mk := func(name string, lines, ways int) *cache.Cache {
-		return cache.MustNew(cache.Config{
-			Name: name, SizeBytes: lines * 64, LineBytes: 64,
-			Ways: ways, Policy: cache.WriteBack,
-		})
-	}
-	return MustNew(mk("l1", 4, 2), mk("l2", 16, 4), mk("llc", 64, 8))
+	return MustNew(wbLevel("l1", 4, 2), wbLevel("l2", 16, 4), wbLevel("llc", 64, 8))
 }
 
 func TestNewRequiresLevels(t *testing.T) {
 	if _, err := New(); err == nil {
 		t.Fatal("empty hierarchy accepted")
+	}
+}
+
+// TestNewRejectsLevels: a level must have a geometry internal/cache
+// accepts and be write-back, the only policy the store models.
+func TestNewRejectsLevels(t *testing.T) {
+	if _, err := New(wbLevel("l1", 12, 4)); err == nil {
+		t.Fatal("a level of 3 sets accepted")
+	}
+	wt := wbLevel("l1", 16, 4)
+	wt.Policy = cache.WriteThrough
+	if _, err := New(wt); err == nil {
+		t.Fatal("a write-through level accepted")
 	}
 }
 
@@ -104,7 +112,6 @@ func TestWritebackCountBoundedByWrites(t *testing.T) {
 		}
 		h.Access(cache.Line(r.Intn(4096)), w)
 	}
-	h.FlushAll()
 	if wb > writes {
 		t.Fatalf("writebacks %d > writes %d", wb, writes)
 	}
@@ -113,54 +120,38 @@ func TestWritebackCountBoundedByWrites(t *testing.T) {
 	}
 }
 
-func TestFlushAllDrainsDirty(t *testing.T) {
-	h := tiny(t)
-	var wb []cache.Line
-	h.OnMemWriteback = func(l cache.Line) { wb = append(wb, l) }
-	h.Access(7, true)
-	if !h.DirtyAnywhere(7) {
-		t.Fatal("written line not dirty")
-	}
-	h.FlushAll()
-	if h.DirtyAnywhere(7) {
-		t.Fatal("dirty line survived flush")
-	}
-	found := false
-	for _, l := range wb {
-		if l == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("flush lost the dirty line: %v", wb)
-	}
-}
-
 func TestRewriteAfterEvictionStaysConsistent(t *testing.T) {
 	// A line written, evicted to L2 (dirty), then re-written in L1,
-	// must produce writebacks but never lose its dirtiness.
+	// must never lose its dirtiness, and must not reach memory while
+	// the levels below hold it.
 	h := tiny(t)
-	wb := map[cache.Line]int{}
-	h.OnMemWriteback = func(l cache.Line) { wb[l]++ }
+	wb := 0
+	h.OnMemWriteback = func(cache.Line) { wb++ }
 	for round := 0; round < 50; round++ {
 		h.Access(0, true)
 		h.Access(2, false)
 		h.Access(4, false) // pushes 0 out of L1 into L2
 	}
-	h.FlushAll()
-	if wb[0] == 0 {
-		t.Fatal("dirty line 0 never written back")
+	if _, dirty := h.lines(1); !slices.Contains(dirty, 0) {
+		t.Fatalf("L2 lost line 0's dirtiness: dirty lines %v", dirty)
+	}
+	if wb != 0 {
+		t.Fatalf("%d memory writebacks while every level below L1 holds the line", wb)
 	}
 }
 
 func TestDefaultGeometry(t *testing.T) {
 	h := Default(4096, 32)
-	ls := h.Levels()
-	if len(ls) != 3 {
-		t.Fatalf("levels = %d", len(ls))
+	if h.Depth() != 3 {
+		t.Fatalf("levels = %d", h.Depth())
 	}
-	if ls[0].Capacity() != 1024 || ls[1].Capacity() != 8192 || ls[2].Capacity() != 65536 {
-		t.Fatalf("capacities: %d %d %d", ls[0].Capacity(), ls[1].Capacity(), ls[2].Capacity())
+	if lines, ways := h.LLC(); lines != 65536 || ways != 32 {
+		t.Fatalf("LLC %d lines x %d ways, want 65536 x 32", lines, ways)
+	}
+	for k, want := range []int{1024, 8192, 65536} {
+		if got := len(h.levels[k].tags); got != want {
+			t.Fatalf("level %d holds %d lines, want %d", k, got, want)
+		}
 	}
 }
 

@@ -131,13 +131,26 @@ func (t *Table) Persist(ready sim.Cycle, cost LevelCost) (leafStart, rootDone si
 // InFlightAt returns the number of table entries still occupied at
 // the given cycle: scheduled persists whose root update completes
 // beyond it, capped by the table capacity. This is the telemetry
-// sampler's occupancy probe.
+// sampler's occupancy probe, taken after every persist of a sampled
+// run.
+//
+// Root updates complete in persist order under both walk kinds (a
+// pipelined walk starts each level no earlier than the previous
+// persist finished it, a sequential one its leaf no earlier than the
+// previous root, and a level's update never ends before it starts), so
+// the ring holds non-decreasing completion times from its oldest entry
+// to its newest; the ones beyond at are the newest few, counted back
+// from the newest.
 func (t *Table) InFlightAt(at sim.Cycle) int {
-	n := 0
-	for _, done := range t.retire {
-		if done > at {
-			n++
+	n, i := 0, t.head
+	for n < t.capacity {
+		if i == 0 {
+			i = t.capacity
 		}
+		if i--; t.retire[i] <= at {
+			break
+		}
+		n++
 	}
 	return n
 }

@@ -259,3 +259,61 @@ func TestGatesMatchPersist(t *testing.T) {
 		}
 	}
 }
+
+// TestInFlightAtMatchesScan: the occupancy probe, which counts back
+// from the newest retired walk, agrees with a scan of every table
+// entry after each persist of pipelined and sequential walks with a
+// MAC latency and occasional misses, zero-cost levels (the ideal
+// metadata cache's walk), and capacities from one entry, which bound
+// admission, to 64, asked at cycles before, among and after the
+// completions the table holds.
+func TestInFlightAtMatchesScan(t *testing.T) {
+	scan := func(tab *Table, at sim.Cycle) int {
+		n := 0
+		for _, done := range tab.retire {
+			if done > at {
+				n++
+			}
+		}
+		return n
+	}
+	for _, pipelined := range []bool{true, false} {
+		for _, ideal := range []bool{false, true} {
+			for _, capacity := range []int{1, 3, 9, 64} {
+				rng := rand.New(rand.NewPCG(uint64(capacity), 7))
+				tab := New(9, capacity)
+				cost := func(_ int, start sim.Cycle) sim.Cycle {
+					if ideal {
+						return start
+					}
+					if rng.IntN(8) == 0 {
+						return start + 40 + sim.Cycle(rng.IntN(600))
+					}
+					return start + 40
+				}
+				ready, busy := sim.Cycle(0), 0
+				for i := 0; i < 2000; i++ {
+					ready += sim.Cycle(rng.IntN(150))
+					if pipelined {
+						tab.Persist(ready, cost)
+					} else {
+						tab.SequentialPersist(ready, cost)
+					}
+					for _, at := range []sim.Cycle{0, ready, ready + sim.Cycle(rng.IntN(400)), ready + sim.Cycle(rng.IntN(5000)), tab.Stage(1), tab.Stage(1) - 1} {
+						got, want := tab.InFlightAt(at), scan(tab, at)
+						if got != want {
+							t.Fatalf("pipelined=%v ideal=%v capacity %d persist %d: InFlightAt(%d) = %d, scan %d",
+								pipelined, ideal, capacity, i, at, got, want)
+						}
+						if got > 0 {
+							busy++
+						}
+					}
+				}
+				if !ideal && busy == 0 {
+					t.Fatalf("pipelined=%v capacity %d: no persist was ever in flight", pipelined, capacity)
+				}
+			}
+		}
+	}
+}
