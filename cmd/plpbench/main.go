@@ -27,7 +27,6 @@ import (
 	"plp/internal/harness"
 	"plp/internal/registry"
 	"plp/internal/sim"
-	"plp/internal/trace"
 )
 
 func main() {
@@ -48,8 +47,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   plpbench record  [-o FILE] [-tag TAG] [-instr N] [-warmup N] [-benches a,b]
                    [-schemes s1,s2] [-full] [-interval N] [-parallel N]
-                   [-no-telemetry] [-memo] [-memo-mb N] [-trace-cache-mb N]
-                   [-passes N]
+                   [-no-telemetry] [-memo] [-memo-mb N] [-passes N]
   plpbench compare [-threshold F] [-warn] [-identical] OLD.json NEW.json
 `)
 	os.Exit(2)
@@ -68,9 +66,8 @@ func record(args []string) {
 		interval = fs.Uint64("interval", 0, "telemetry window width in cycles (0 = default)")
 		parallel = fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
 		noTel    = fs.Bool("no-telemetry", false, "skip the time series (headline numbers only)")
-		memoOn   = fs.Bool("memo", false, "memoize sweep points (shared trace cache + warm-up checkpoints + result memo)")
+		memoOn   = fs.Bool("memo", false, "memoize sweep points (warm-up checkpoints + result memo)")
 		memoMB   = fs.Uint64("memo-mb", 512, "memo byte bound in MB (with -memo)")
-		traceMB  = fs.Uint64("trace-cache-mb", 256, "trace batch cache bound in MB (with -memo)")
 		passes   = fs.Int("passes", 1, "record the sweep N times (with -memo: pass 1 is cold, later passes hit; the passes are asserted bit-identical)")
 	)
 	fs.Parse(args)
@@ -108,11 +105,9 @@ func record(args []string) {
 	}
 
 	var memo *harness.Memo
-	var store *trace.Store
 	if *memoOn {
 		memo = harness.NewMemo(*memoMB << 20)
-		store = trace.NewStore(*traceMB << 20)
-		o.Memo, o.Traces = memo, store
+		o.Memo = memo
 	}
 
 	var runs []registry.Run
@@ -149,7 +144,6 @@ func record(args []string) {
 	f.Runs = runs
 	if memo != nil {
 		st := memo.Stats()
-		ts := store.Stats()
 		mi := &registry.MemoInfo{
 			Passes:           *passes,
 			Hits:             st.Hits,
@@ -157,8 +151,6 @@ func record(args []string) {
 			HitRate:          st.HitRate(),
 			CheckpointHits:   st.CheckpointHits,
 			CheckpointMisses: st.CheckpointMisses,
-			TraceHits:        ts.Hits,
-			TraceMisses:      ts.Misses,
 		}
 		if *passes > 1 {
 			mi.ColdWallNS = uint64(coldWall.Nanoseconds())

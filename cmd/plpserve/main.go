@@ -60,7 +60,6 @@ import (
 	"plp/internal/jobs"
 	"plp/internal/metrics"
 	"plp/internal/obs"
-	"plp/internal/trace"
 )
 
 func main() {
@@ -73,7 +72,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "default per-job deadline (0 = unbounded)")
 		drainT   = flag.Duration("drain-timeout", 2*time.Minute, "max graceful-drain wait on shutdown")
 		memoMB   = flag.Uint64("memo-mb", 512, "sweep-point memo bound in MB shared by all jobs (0 = off)")
-		traceMB  = flag.Uint64("trace-cache-mb", 256, "trace batch cache bound in MB shared by all jobs (0 = off)")
 
 		logLevel  = flag.String("log-level", "info", "structured log level: debug, info, warn, error, off")
 		logFormat = flag.String("log-format", "text", "structured log format: text or json (stderr)")
@@ -107,24 +105,19 @@ func main() {
 		obsCfg.JSONL = f
 	}
 
-	// The memoization stack shared by every job this instance runs:
-	// repeated sweep points hit the memo, every scheme of a warmed
-	// sweep resumes one per-benchmark checkpoint, and trace batches
-	// generate once. All counters surface on /metrics.
+	// The memo shared by every job this instance runs: repeated sweep
+	// points hit it, and every scheme of a warmed sweep resumes one
+	// per-benchmark checkpoint. Its counters surface on /metrics.
 	var memo *harness.Memo
-	var traces *trace.Store
 	if *memoMB > 0 {
 		memo = harness.NewMemo(*memoMB << 20)
-	}
-	if *traceMB > 0 {
-		traces = trace.NewStore(*traceMB << 20)
 	}
 
 	probe := &harness.PoolProbe{}
 	// stack is this instance's local execution environment, shared by
 	// the job service and (per role) the fabric worker or the
 	// coordinator's no-workers-left fallback.
-	stack := fabric.Stack{Memo: memo, Traces: traces, Probe: probe, Parallel: *parallel}
+	stack := fabric.Stack{Memo: memo, Probe: probe, Parallel: *parallel}
 
 	var mkCoord func(*metrics.Registry) *fabric.Coordinator
 	if *coordRole {
@@ -143,7 +136,6 @@ func main() {
 		RunParallel:    *parallel,
 		DefaultTimeout: *timeout,
 		Memo:           memo,
-		Traces:         traces,
 		Probe:          probe,
 		Tracer:         obs.New(obsCfg),
 		Log:            logger,

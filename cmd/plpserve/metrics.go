@@ -4,7 +4,6 @@ import (
 	"plp/internal/harness"
 	"plp/internal/jobs"
 	"plp/internal/metrics"
-	"plp/internal/trace"
 )
 
 // serverMetrics is one server instance's observability surface: a
@@ -96,28 +95,6 @@ func (m *serverMetrics) bindMemo(memo *harness.Memo) {
 	m.reg.GaugeFunc("plp_memo_checkpoint_misses_total",
 		"Warm-up checkpoints built.",
 		stat(func(s harness.MemoStats) float64 { return float64(s.CheckpointMisses) }))
-}
-
-// bindTraceStore exposes the shared trace batch cache's counters.
-func (m *serverMetrics) bindTraceStore(store *trace.Store) {
-	stat := func(f func(trace.StoreStats) float64) func() float64 {
-		return func() float64 { return f(store.Stats()) }
-	}
-	m.reg.GaugeFunc("plp_trace_cache_hits_total",
-		"Trace batch requests served from the shared cache.",
-		stat(func(s trace.StoreStats) float64 { return float64(s.Hits) }))
-	m.reg.GaugeFunc("plp_trace_cache_misses_total",
-		"Trace batches materialized (cache misses).",
-		stat(func(s trace.StoreStats) float64 { return float64(s.Misses) }))
-	m.reg.GaugeFunc("plp_trace_cache_evictions_total",
-		"Trace batches dropped by the byte bound.",
-		stat(func(s trace.StoreStats) float64 { return float64(s.Evictions) }))
-	m.reg.GaugeFunc("plp_trace_cache_bytes",
-		"Resident bytes of cached trace batches.",
-		stat(func(s trace.StoreStats) float64 { return float64(s.Bytes) }))
-	m.reg.GaugeFunc("plp_trace_cache_entries",
-		"Resident cached trace batches.",
-		stat(func(s trace.StoreStats) float64 { return float64(s.Entries) }))
 }
 
 // bindPoolProbe exposes the harness fan-out pools' occupancy: queue

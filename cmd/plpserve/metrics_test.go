@@ -9,7 +9,6 @@ import (
 
 	"plp/internal/harness"
 	"plp/internal/jobs"
-	"plp/internal/trace"
 )
 
 func scrape(t *testing.T, ts *httptest.Server) string {
@@ -102,14 +101,13 @@ func TestTwoServersIndependent(t *testing.T) {
 }
 
 // TestMemoMetricsEndpoint: a server with the memoization stack wired
-// exposes the memo / trace-cache / pool series, and a repeated sweep
-// job is served from the memo (hits > 0, no new misses).
+// exposes the memo and pool series, and a repeated sweep job is served
+// from the memo (hits > 0, no new misses).
 func TestMemoMetricsEndpoint(t *testing.T) {
 	memo := harness.NewMemo(0)
-	store := trace.NewStore(0)
 	ts, _ := newTestServer(t, jobs.Config{
 		Workers: 1, QueueDepth: 4,
-		Memo: memo, Traces: store, Probe: &harness.PoolProbe{},
+		Memo: memo, Probe: &harness.PoolProbe{},
 	})
 	spec := `{"kind":"sweep","benches":["gamess"],"schemes":["pipeline","sp"],"instructions":200000,"warmup":100000,"noTelemetry":true}`
 	for i := 0; i < 2; i++ {
@@ -124,10 +122,8 @@ func TestMemoMetricsEndpoint(t *testing.T) {
 		"plp_memo_misses_total 2", // first job: both points executed
 		"plp_memo_checkpoint_misses_total 1",
 		"plp_memo_checkpoint_hits_total 1",
-		"plp_trace_cache_misses_total 1",
 		"plp_memo_bytes",
 		"plp_memo_entries 2",
-		"plp_trace_cache_bytes",
 		"plp_pool_queued 0",
 		"plp_pool_completed_total 2",
 		"plp_pool_max_running",

@@ -53,9 +53,6 @@ func newServerWithFabric(cfg jobs.Config, mkCoord func(*metrics.Registry) *fabri
 	if cfg.Memo != nil {
 		m.bindMemo(cfg.Memo)
 	}
-	if cfg.Traces != nil {
-		m.bindTraceStore(cfg.Traces)
-	}
 	if cfg.Probe != nil {
 		m.bindPoolProbe(cfg.Probe)
 	}

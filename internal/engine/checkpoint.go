@@ -10,12 +10,12 @@ import (
 
 // Checkpoint freezes a run's complete state at the warm-up boundary:
 // deep snapshots of the two structures warm-up mutates (the data
-// hierarchy and the counter cache), a positioned clone of the op
-// source, and the stream's buffered-but-unconsumed ops. Resuming a
-// checkpoint and running the measured region is bit-identical to an
-// uninterrupted run (pinned by TestCheckpointResumeEquivalence), for
-// every config that shares the checkpoint's key — the warm-up work is
-// paid once per (trace, warm-up shape) instead of once per scheme.
+// hierarchy and the counter cache) and the op source positioned just
+// past the warm-up's last op. Resuming a checkpoint and running the
+// measured region is bit-identical to an uninterrupted run (pinned by
+// TestCheckpointResumeEquivalence), for every config that shares the
+// checkpoint's key — the warm-up work is paid once per (trace, warm-up
+// shape) instead of once per scheme.
 //
 // A checkpoint is immutable after construction: it may be resumed any
 // number of times, concurrently, each resume building its own machine.
@@ -27,9 +27,7 @@ type Checkpoint struct {
 	data *hier.Snapshot
 	ctr  *cache.Snapshot
 
-	source   trace.CloneableSource // positioned at the warm-up boundary
-	pending  []trace.Op            // batched ops pulled but not yet consumed
-	consumed uint64
+	source trace.CloneableSource // positioned at the warm-up boundary
 }
 
 // CheckpointKey identifies one warm-up checkpoint: the trace identity
@@ -96,20 +94,14 @@ func NewCheckpointSource(cfg Config, bench string, seed uint64, ipc float64, src
 	}
 	data := hier.Default(cfg.LLCKB, cfg.LLCWays)
 	ctr := newMDC("ctr", cfg.CtrCacheKB, cfg.MDCWays)
-	// The stream must run under the full-run limit (warm-up never
-	// reaches it, and batch fill boundaries are position-invariant), so
-	// the captured pending ops splice seamlessly into a resumed run.
-	st := newOpStream(c.CloneSource(), cfg.Instructions+cfg.Warmup, make([]trace.Op, opBatch))
-	warmCaches(data, ctr, cfg.IdealMDC, st, cfg.Warmup)
+	// Warm-up fills under its own bound, so it reads its clone of the
+	// source exactly to the boundary and leaves no filled op behind:
+	// the clone is the stream's position.
+	warm := c.CloneSource()
+	warmCaches(data, ctr, cfg.IdealMDC, newOpStream(warm, make([]trace.Op, opBatch)), cfg.Warmup)
 	ck.data = data.Snapshot()
 	ck.ctr = ctr.Snapshot()
-	src2, pending, consumed, err := st.checkpoint()
-	if err != nil {
-		return nil, err
-	}
-	ck.source = src2.(trace.CloneableSource)
-	ck.pending = pending
-	ck.consumed = consumed
+	ck.source = warm.(trace.CloneableSource)
 	return ck, nil
 }
 
@@ -125,7 +117,6 @@ func (ck *Checkpoint) Bytes() uint64 {
 	if ck.ctr != nil {
 		n += ck.ctr.Bytes()
 	}
-	n += uint64(len(ck.pending)) * 16
 	return n + 1024
 }
 
@@ -150,8 +141,7 @@ func (ck *Checkpoint) Resume(cfg Config) (Result, error) {
 	if err := m.ctrCache.Restore(ck.ctr); err != nil {
 		return Result{}, fmt.Errorf("engine: resume: %w", err)
 	}
-	st := resumeOpStream(ck.source.CloneSource(), cfg.Instructions+cfg.Warmup,
-		m.ar.opBuf(opBatch), ck.pending, ck.consumed)
+	st := newOpStream(ck.source.CloneSource(), m.ar.opBuf(opBatch))
 	m.cfg.Instructions += cfg.Warmup
 	return m.measure(st, ck.bench, ck.ipc), nil
 }

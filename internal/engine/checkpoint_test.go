@@ -122,12 +122,12 @@ func TestCheckpointFromStoreReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("batch of %d ops: store-replay checkpoint diverged from generator run", batch.Ops())
+			t.Fatalf("store capped at %d ops (0 = default): store-replay checkpoint diverged from generator run", maxOps)
 		}
 		// And the replay itself (no checkpoint) matches too.
 		direct := RunSource(cfg, prof.Name, prof.IPC, batch.Replay())
 		if !reflect.DeepEqual(want, direct) {
-			t.Fatalf("batch of %d ops: store replay run diverged from generator run", batch.Ops())
+			t.Fatalf("store capped at %d ops (0 = default): store replay run diverged from generator run", maxOps)
 		}
 	}
 }

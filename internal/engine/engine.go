@@ -651,10 +651,11 @@ func (m *machine) warm(st *opStream, instrs uint64) {
 // (unless data is nil) and counter cache without timing, walking each
 // batch in place. Warm-up state therefore depends on exactly the
 // stream prefix and these two structures' geometry — the fields
-// warmupConfig keeps.
+// warmupConfig keeps. It fills under its own bound, so it leaves no
+// filled op unconsumed.
 func warmCaches(data *hier.Hierarchy, ctr *cache.Cache, idealMDC bool, st *opStream, instrs uint64) {
 	for st.consumed < instrs {
-		ops := st.ops()
+		ops := st.ops(instrs)
 		if len(ops) == 0 {
 			return
 		}
@@ -744,7 +745,7 @@ func RunSource(cfg Config, bench string, ipc float64, src trace.Source) Result {
 	}
 	m := newMachine(cfg)
 
-	st := newOpStream(src, cfg.Instructions+cfg.Warmup, m.ar.opBuf(opBatch))
+	st := newOpStream(src, m.ar.opBuf(opBatch))
 	if cfg.Warmup > 0 {
 		m.warm(st, cfg.Warmup)
 		m.cfg.Instructions += cfg.Warmup

@@ -36,7 +36,7 @@ func (m *machine) runOps(st *opStream, ipc float64, store func(addr.Block)) {
 	end := m.cfg.Instructions
 	poll := cancelPollOps // ops up to and including the next poll
 	for st.consumed < end {
-		ops := st.ops()
+		ops := st.ops(end)
 		if len(ops) == 0 {
 			return
 		}

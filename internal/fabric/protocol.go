@@ -194,9 +194,8 @@ func (e *UnitError) Error() string {
 // — a worker's execution environment, and the coordinator's own when
 // it falls back to finishing units locally.
 type Stack struct {
-	Memo   *harness.Memo
-	Traces *trace.Store
-	Probe  *harness.PoolProbe
+	Memo  *harness.Memo
+	Probe *harness.PoolProbe
 	// Parallel caps the fan-out inside one unit (a unit is a single
 	// run, so this mostly bounds incidental parallelism; 0 = GOMAXPROCS).
 	Parallel int

@@ -45,7 +45,6 @@ func ExecuteUnit(ctx context.Context, u Unit, st Stack, span *obs.Span) (*regist
 			FullMemory:   u.FullMemory,
 			Parallel:     st.Parallel,
 			Memo:         st.Memo,
-			Traces:       st.Traces,
 			Probe:        st.Probe,
 		},
 		Schemes:     []engine.Scheme{engine.Scheme(u.Scheme)},

@@ -47,9 +47,11 @@ type Options struct {
 	// callers share one Memo. Memoized results are bit-identical to
 	// cold runs. Nil (the default) runs everything cold.
 	Memo *Memo
-	// Traces, when non-nil, shares materialized op batches so the N
-	// schemes x M configs of a sweep generate each (bench, seed,
-	// instructions) trace once. Nil generates per run.
+	// Traces is the store whose batches the memo's warm-up checkpoints
+	// replay; callers that share one share each (bench, seed,
+	// instructions) batch across their runners. Nil gives a runner with
+	// a Memo a store of its own. Runs without a checkpoint never read
+	// it: they read their arena's recording.
 	Traces *trace.Store
 	// Probe, when non-nil, observes the fan-out pool's occupancy
 	// (queue depth, running, completed) across the runner's sweeps.
@@ -132,6 +134,9 @@ type runner struct {
 
 func newRunner(o Options) *runner {
 	o.fill()
+	if o.Memo != nil && o.Traces == nil {
+		o.Traces = trace.NewStore(0)
+	}
 	return &runner{o: o, bases: make(map[string]*baseEntry)}
 }
 

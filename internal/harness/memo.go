@@ -182,8 +182,8 @@ func (m *Memo) Run(key MemoKey, exec func() (engine.Result, *telemetry.Series, b
 
 // Checkpoint returns the warm-up checkpoint for (cfg, bench, seed),
 // building it at most once per key across concurrent callers. mkSrc
-// supplies the op source to warm from (a fresh generator, or a shared
-// trace.Store replay).
+// supplies the op source to warm from (the runner's trace.Store
+// replay).
 func (m *Memo) Checkpoint(cfg engine.Config, bench string, seed uint64, ipc float64, mkSrc func() trace.Source) (*engine.Checkpoint, error) {
 	key := engine.CheckpointKeyFor(cfg, bench, seed)
 	m.mu.Lock()

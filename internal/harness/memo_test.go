@@ -81,23 +81,19 @@ func TestMemoizedSweepBitIdentical(t *testing.T) {
 }
 
 // countSims counts, until the test ends, the simulations the harness
-// executes through any of its three engine entry points.
+// executes through either of its two engine entry points.
 func countSims(t *testing.T) *atomic.Int64 {
 	var n atomic.Int64
-	origRun, origSrc, origResume := engineRun, engineRunSource, engineResume
+	origRun, origResume := engineRun, engineResume
 	engineRun = func(cfg engine.Config, p trace.Profile) engine.Result {
 		n.Add(1)
 		return origRun(cfg, p)
-	}
-	engineRunSource = func(cfg engine.Config, bench string, ipc float64, src trace.Source) engine.Result {
-		n.Add(1)
-		return origSrc(cfg, bench, ipc, src)
 	}
 	engineResume = func(ck *engine.Checkpoint, cfg engine.Config) (engine.Result, error) {
 		n.Add(1)
 		return origResume(ck, cfg)
 	}
-	t.Cleanup(func() { engineRun, engineRunSource, engineResume = origRun, origSrc, origResume })
+	t.Cleanup(func() { engineRun, engineResume = origRun, origResume })
 	return &n
 }
 
@@ -137,6 +133,61 @@ func TestMemoColdPassUsesResume(t *testing.T) {
 	}
 	if resumes.Load() != 6 {
 		t.Errorf("want 6 checkpoint resumes (2 benches x 3 schemes), got %d", resumes.Load())
+	}
+}
+
+// TestColdRunReadsOneSource pins where a cold run reads its op
+// stream. Without a warm-up every point executes through engineRun on
+// a pooled arena, reading the arena's recording, and the caller's
+// trace store is never touched. With a warm-up and no caller store,
+// the runner's own store feeds one checkpoint per benchmark, as a
+// caller's store does, every scheme resumes from it, and the sweep is
+// bit-identical to a cold one.
+func TestColdRunReadsOneSource(t *testing.T) {
+	var runs, arenaRuns, resumes atomic.Int64
+	origRun, origResume := engineRun, engineResume
+	engineRun = func(cfg engine.Config, p trace.Profile) engine.Result {
+		runs.Add(1)
+		if cfg.Arena != nil {
+			arenaRuns.Add(1)
+		}
+		return origRun(cfg, p)
+	}
+	engineResume = func(ck *engine.Checkpoint, cfg engine.Config) (engine.Result, error) {
+		resumes.Add(1)
+		return origResume(ck, cfg)
+	}
+	t.Cleanup(func() { engineRun, engineResume = origRun, origResume })
+	store := trace.NewStore(0)
+	plain := memoTestOpts(NewMemo(0), store)
+	plain.Warmup = 0
+	Record(plain)
+	benches := len(plain.Benches)
+	points := int64(benches * len(plain.Schemes))
+	if st := store.Stats(); st != (trace.StoreStats{}) {
+		t.Errorf("a sweep without warm-up used the caller's trace store: %+v", st)
+	}
+	if runs.Load() != points || arenaRuns.Load() != points || resumes.Load() != 0 {
+		t.Errorf("a sweep without warm-up ran %d points through engineRun (%d on an arena) and resumed %d, want all %d on an arena",
+			runs.Load(), arenaRuns.Load(), resumes.Load(), points)
+	}
+
+	cold := Record(memoTestOpts(nil, nil))
+	shared := NewMemo(0)
+	Record(memoTestOpts(shared, trace.NewStore(0)))
+	runs.Store(0)
+	resumes.Store(0)
+	own := NewMemo(0)
+	warm := Record(memoTestOpts(own, nil))
+	if !reflect.DeepEqual(stripTiming(cold), stripTiming(warm)) {
+		t.Error("a warmed sweep over the runner's own store diverged from the cold sweep")
+	}
+	if byRunner, byCaller := own.Stats().CheckpointMisses, shared.Stats().CheckpointMisses; byRunner != uint64(benches) || byCaller != uint64(benches) {
+		t.Errorf("checkpoints built: %d over the runner's store, %d over a caller's, want %d each", byRunner, byCaller, benches)
+	}
+	if runs.Load() != 0 || resumes.Load() != points {
+		t.Errorf("a warmed sweep over the runner's store ran %d points and resumed %d, want all %d resumed",
+			runs.Load(), resumes.Load(), points)
 	}
 }
 

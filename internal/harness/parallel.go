@@ -18,13 +18,12 @@ func (r *runner) parallel(profs []trace.Profile, fn func(i int, p trace.Profile)
 	FanProbe(len(profs), r.o.Parallel, r.o.Probe, func(i int) { fn(i, profs[i]) })
 }
 
-// engineRun/engineRunSource/engineResume indirect the engine entry
-// points so tests can count how many simulations actually execute
-// (baseline dedup, memo hits) and which path served them.
+// engineRun/engineResume indirect the engine entry points so tests
+// can count how many simulations actually execute (baseline dedup,
+// memo hits) and which path served them.
 var (
-	engineRun       = engine.Run
-	engineRunSource = engine.RunSource
-	engineResume    = (*engine.Checkpoint).Resume
+	engineRun    = engine.Run
+	engineResume = (*engine.Checkpoint).Resume
 )
 
 // idleArenas lends engine arenas to runs, so a sweep's big hot-path
@@ -69,7 +68,8 @@ func (l *idleArenas) put(a *engine.Arena) {
 	l.mu.Unlock()
 }
 
-// runPooled executes one simulation with a pooled arena attached.
+// runPooled executes one simulation with a pooled arena attached, so
+// it reads its stream from the arena's recording.
 func runPooled(cfg engine.Config, p trace.Profile) engine.Result {
 	ar := arenas.get(p)
 	cfg.Arena = ar
@@ -78,30 +78,16 @@ func runPooled(cfg engine.Config, p trace.Profile) engine.Result {
 	return res
 }
 
-// runPooledSource is runPooled over an explicit op source (a trace
-// store replay instead of the arena's recording).
-func runPooledSource(cfg engine.Config, p trace.Profile, src trace.Source) engine.Result {
-	ar := arenas.get(p)
-	cfg.Arena = ar
-	res := engineRunSource(cfg, p.Name, p.IPC, src)
-	arenas.put(ar)
-	return res
-}
-
-// cold executes one simulation without consulting the result memo,
-// picking the cheapest correct path: resume a shared warm-up
-// checkpoint when one applies, replay a shared trace batch when the
-// store is enabled, else read the stream from the arena's recording.
-// All three are bit-identical (equivalence-pinned).
+// cold executes one simulation without consulting the result memo. A
+// run with a warm-up, under a memo, resumes its benchmark's shared
+// warm-up checkpoint, built over a replay of the runner's trace store;
+// every other run reads its stream from an arena's recording. Both are
+// bit-identical to an uninterrupted run (equivalence-pinned).
 func (r *runner) cold(cfg engine.Config, p trace.Profile) engine.Result {
 	n := cfg.Normalized()
-	total := n.Instructions + n.Warmup
 	if r.o.Memo != nil && n.Warmup > 0 {
 		ck, err := r.o.Memo.Checkpoint(cfg, p.Name, p.Seed, p.IPC, func() trace.Source {
-			if r.o.Traces != nil {
-				return r.o.Traces.Get(p, total).Replay()
-			}
-			return trace.NewGenerator(p)
+			return r.o.Traces.Get(p, n.Instructions+n.Warmup).Replay()
 		})
 		if err == nil {
 			ar := arenas.get(p)
@@ -112,13 +98,10 @@ func (r *runner) cold(cfg engine.Config, p trace.Profile) engine.Result {
 				return res
 			}
 		}
-		// A checkpoint path failure (uncheckpointable source, key drift)
-		// falls through to an uncheckpointed run rather than failing the
-		// sweep; the checkpoint key tests keep this path unreachable for
-		// the runner's own configs.
-	}
-	if r.o.Traces != nil {
-		return runPooledSource(cfg, p, r.o.Traces.Get(p, total).Replay())
+		// A checkpoint path failure (key drift) falls through to an
+		// uncheckpointed run rather than failing the sweep; the
+		// checkpoint key tests keep this path unreachable for the
+		// runner's own configs.
 	}
 	return runPooled(cfg, p)
 }

@@ -100,20 +100,16 @@ func TestDriversThreadCancel(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	origRun, origSrc, origResume := engineRun, engineRunSource, engineResume
+	origRun, origResume := engineRun, engineResume
 	engineRun = func(cfg engine.Config, p trace.Profile) engine.Result {
 		seen(cfg)
 		return origRun(cfg, p)
-	}
-	engineRunSource = func(cfg engine.Config, bench string, ipc float64, src trace.Source) engine.Result {
-		seen(cfg)
-		return origSrc(cfg, bench, ipc, src)
 	}
 	engineResume = func(ck *engine.Checkpoint, cfg engine.Config) (engine.Result, error) {
 		seen(cfg)
 		return origResume(ck, cfg)
 	}
-	t.Cleanup(func() { engineRun, engineRunSource, engineResume = origRun, origSrc, origResume })
+	t.Cleanup(func() { engineRun, engineResume = origRun, origResume })
 	for _, id := range Order() {
 		mu.Lock()
 		driver = id

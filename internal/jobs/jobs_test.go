@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -239,6 +241,49 @@ func TestMemoSweepReportsProgress(t *testing.T) {
 	if st.TotalRuns != 2 || st.StartedRuns != st.TotalRuns || len(st.Runs) != 2 {
 		t.Fatalf("memo-served job: started %d of %d runs, %d runs entries",
 			st.StartedRuns, st.TotalRuns, len(st.Runs))
+	}
+}
+
+// TestServiceMemoryFlatAcrossJobs: a service keeps no op stream
+// between jobs that miss its memo. One worker and RunParallel 1 put
+// every run on one arena, whose recording is the only stream the jobs
+// read, and each job's distinct instruction count makes every point a
+// memo miss, as in a stream of fresh sweeps. After the first job the
+// live heap may grow by the jobs' stored results, a few KB a point,
+// but not by a trace batch per benchmark and job (about 30 MB over
+// these jobs).
+func TestServiceMemoryFlatAcrossJobs(t *testing.T) {
+	s, w := newTestService(t, Config{Workers: 1, RunParallel: 1, Memo: harness.NewMemo(0)})
+	live := func() uint64 {
+		runtime.GC()
+		sample := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		rtmetrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	const jobs, maxGrowth = 24, 8 << 20
+	var base uint64
+	for i := 0; i < jobs; i++ {
+		j, err := s.Submit(Spec{Kind: KindSweep, Benches: []string{"gcc", "milc"},
+			Instructions: 100_000 + uint64(i), NoTelemetry: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.wait(t, j, 60*time.Second)
+		if j.State() != StateSucceeded {
+			t.Fatalf("job %d: state %s: %s", i, j.State(), j.Status(false).Error)
+		}
+		if i == 0 {
+			base = live()
+		}
+	}
+	if st := s.cfg.Memo.Stats(); st.Hits != 0 || st.Misses != 2*6*jobs {
+		t.Fatalf("memo stats %+v, want %d misses and no hits", st, 2*6*jobs)
+	}
+	growth := int64(live()) - int64(base)
+	t.Logf("live heap grew %.1f MB over %d jobs after the first", float64(growth)/(1<<20), jobs-1)
+	if growth > maxGrowth {
+		t.Errorf("live heap grew %.1f MB over %d jobs after the first, want at most %d MB",
+			float64(growth)/(1<<20), jobs-1, maxGrowth>>20)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"plp/internal/sim"
 	"plp/internal/stats"
 	"plp/internal/telemetry"
-	"plp/internal/trace"
 )
 
 // Config parameterizes a Service. Zero fields take defaults.
@@ -65,10 +64,6 @@ type Config struct {
 	// bit-identical to cold runs (harness equivalence tests). Its
 	// counters surface on plpserve /metrics. Nil memoizes nothing.
 	Memo *harness.Memo
-	// Traces, when non-nil, is the shared trace batch cache: each
-	// (benchmark, seed, instructions) op stream is generated once and
-	// replayed by every run that needs it. Nil generates privately.
-	Traces *trace.Store
 	// Probe, when non-nil, observes the harness fan-out pools of every
 	// job (queue depth, occupancy high-water) for the /metrics gauges.
 	Probe *harness.PoolProbe
@@ -542,7 +537,6 @@ func (s *Service) runSweep(ctx context.Context, j *Job) (*registry.JobResult, er
 			FullMemory:   spec.FullMemory,
 			Parallel:     s.cfg.RunParallel,
 			Memo:         s.cfg.Memo,
-			Traces:       s.cfg.Traces,
 			Probe:        s.cfg.Probe,
 		},
 		Schemes:     spec.engineSchemes(),
@@ -613,7 +607,6 @@ func (s *Service) runExperiment(ctx context.Context, j *Job) (*registry.JobResul
 		FullMemory:   spec.FullMemory,
 		Parallel:     s.cfg.RunParallel,
 		Memo:         s.cfg.Memo,
-		Traces:       s.cfg.Traces,
 		Probe:        s.cfg.Probe,
 		Cancel:       ctx,
 	})

@@ -104,8 +104,6 @@ func accumulateMemo(acc, m *MemoInfo) *MemoInfo {
 	acc.Misses += m.Misses
 	acc.CheckpointHits += m.CheckpointHits
 	acc.CheckpointMisses += m.CheckpointMisses
-	acc.TraceHits += m.TraceHits
-	acc.TraceMisses += m.TraceMisses
 	if total := acc.Hits + acc.Misses; total > 0 {
 		acc.HitRate = float64(acc.Hits) / float64(total)
 	}

@@ -140,7 +140,7 @@ func TestMergeShardsCompat(t *testing.T) {
 // order-independently and drops the per-machine wall fields.
 func TestMergeShardsMemoAggregation(t *testing.T) {
 	a := shard("a", shardRun("sp", "astar", 4000, 1))
-	a.Memo = &MemoInfo{Passes: 1, Hits: 3, Misses: 1, TraceHits: 2, ColdWallNS: 500}
+	a.Memo = &MemoInfo{Passes: 1, Hits: 3, Misses: 1, CheckpointMisses: 2, ColdWallNS: 500}
 	b := shard("b", shardRun("sp", "gcc", 5000, 2))
 	b.Memo = &MemoInfo{Passes: 2, Hits: 1, Misses: 3, CheckpointHits: 4, WarmWallNS: 700}
 
@@ -153,7 +153,7 @@ func TestMergeShardsMemoAggregation(t *testing.T) {
 		if m == nil {
 			t.Fatal("merged file lost memo info")
 		}
-		if m.Passes != 2 || m.Hits != 4 || m.Misses != 4 || m.TraceHits != 2 || m.CheckpointHits != 4 {
+		if m.Passes != 2 || m.Hits != 4 || m.Misses != 4 || m.CheckpointMisses != 2 || m.CheckpointHits != 4 {
 			t.Fatalf("bad memo aggregation: %+v", m)
 		}
 		if m.HitRate != 0.5 {

@@ -143,8 +143,8 @@ func FromResult(res engine.Result, series *telemetry.Series) Run {
 }
 
 // MemoInfo summarizes the memoization stack's behaviour while a file
-// was recorded: sweep-point and checkpoint hit counts, the trace-cache
-// traffic, and (for multi-pass recordings) cold-vs-warm wall time.
+// was recorded: sweep-point and checkpoint hit counts and (for
+// multi-pass recordings) cold-vs-warm wall time.
 // Informational only — comparisons never gate on it; the memoized
 // cycle counts themselves are gated bit-identical to cold runs.
 type MemoInfo struct {
@@ -155,9 +155,6 @@ type MemoInfo struct {
 
 	CheckpointHits   uint64 `json:"checkpointHits,omitempty"`
 	CheckpointMisses uint64 `json:"checkpointMisses,omitempty"`
-
-	TraceHits   uint64 `json:"traceHits,omitempty"`
-	TraceMisses uint64 `json:"traceMisses,omitempty"`
 
 	// ColdWallNS/WarmWallNS are the first (cold) and last (memoized)
 	// pass's total wall time; Speedup is their ratio (>1 = the memo

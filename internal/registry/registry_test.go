@@ -249,8 +249,7 @@ func TestMemoInfoRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_memo.json")
 	f := New("memo", 1000, false)
 	f.Warmup = 500
-	f.Memo = &MemoInfo{Passes: 2, Hits: 6, Misses: 6, HitRate: 0.5,
-		CheckpointMisses: 2, TraceMisses: 2,
+	f.Memo = &MemoInfo{Passes: 2, Hits: 6, Misses: 6, HitRate: 0.5, CheckpointMisses: 2,
 		ColdWallNS: 2e9, WarmWallNS: 1e9, Speedup: 2}
 	f.Runs = []Run{run("sp", "x", 1000)}
 	if err := Write(path, f); err != nil {

@@ -110,7 +110,7 @@ func TestViewsMatchGenerator(t *testing.T) {
 			r := b.Replay()
 			if got := readViews(r, run.limit, run.take); !reflect.DeepEqual(got, want) || r.Progress() != g.Progress() {
 				t.Fatalf("batch of %d ops to %d in takes of %d: %d ops at %d instructions, generator %d at %d",
-					b.Ops(), run.limit, run.take, len(got), r.Progress(), len(want), g.Progress())
+					len(b.ops), run.limit, run.take, len(got), r.Progress(), len(want), g.Progress())
 			}
 		}
 	}

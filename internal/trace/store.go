@@ -18,12 +18,12 @@ type CloneableSource interface {
 	CloneSource() Source
 }
 
-// Key identifies one materialized trace batch. The synthetic op
+// key identifies one materialized trace batch. The synthetic op
 // stream is a pure function of the benchmark profile (its name and
 // calibrated rates) and seed, and a run consumes a prefix bounded by
 // its instruction budget — so (bench, seed, instructions) is the
 // batch's complete content key.
-type Key struct {
+type key struct {
 	Bench        string
 	Seed         uint64
 	Instructions uint64
@@ -42,25 +42,18 @@ const batchOverhead = 512
 // seamlessly beyond the materialized region. A batch is safe for any
 // number of concurrent Replays.
 type Batch struct {
-	key  Key
 	ops  []Op
 	tail *Generator
 }
 
-// MaterializeBatch generates profile p's op stream up to the
-// instruction budget and freezes it. The op sequence is bit-identical
-// to what a fresh Generator hands a run of the same budget.
-func MaterializeBatch(p Profile, instructions uint64) *Batch {
-	return materialize(p, instructions, math.MaxInt)
-}
-
-// materialize is MaterializeBatch holding at most maxOps ops. The op
-// slice is presized to the generator's mean op rate, with slack, so it
-// is allocated once rather than regrown as it fills.
+// materialize generates profile p's op stream up to the instruction
+// budget, holding at most maxOps ops, and freezes it. The op sequence
+// is bit-identical to what a fresh Generator hands a run of the same
+// budget. The op slice is presized to the generator's mean op rate,
+// with slack, so it is allocated once rather than regrown as it fills.
 func materialize(p Profile, instructions uint64, maxOps int) *Batch {
 	g := NewGenerator(p)
 	return &Batch{
-		key:  Key{Bench: p.Name, Seed: p.Seed, Instructions: instructions},
 		ops:  record(g, make([]Op, 0, g.opsWithin(instructions, maxOps)), instructions, maxOps),
 		tail: g,
 	}
@@ -79,12 +72,6 @@ func (g *Generator) opsWithin(instrs uint64, maxOps int) int {
 	}
 	return int(want)
 }
-
-// Key returns the batch's content key.
-func (b *Batch) Key() Key { return b.key }
-
-// Ops returns the number of materialized operations.
-func (b *Batch) Ops() int { return len(b.ops) }
 
 // Bytes returns the batch's approximate memory footprint: the op
 // slice's capacity, not just the ops it holds, plus a fixed overhead.
@@ -169,20 +156,11 @@ func (r *Replay) CloneSource() Source {
 
 // StoreStats is a snapshot of a Store's traffic and occupancy.
 type StoreStats struct {
-	Hits      uint64 // Get calls served by an existing entry
-	Misses    uint64 // Get calls that materialized (or joined a materialization)
+	Hits      uint64 // Get calls that found an entry, even one still materializing
+	Misses    uint64 // Get calls that made the entry and materialized its batch
 	Evictions uint64 // entries dropped by the byte bound
 	Bytes     uint64 // materialized bytes currently resident
 	Entries   int    // entries currently resident
-}
-
-// HitRate returns Hits/(Hits+Misses), or 0 for an untouched store.
-func (s StoreStats) HitRate() float64 {
-	tot := s.Hits + s.Misses
-	if tot == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(tot)
 }
 
 // DefaultStoreBytes bounds a Store constructed with max 0 (256 MB —
@@ -203,7 +181,7 @@ type Store struct {
 	mu      sync.Mutex
 	max     uint64
 	clock   uint64
-	entries map[Key]*storeEntry
+	entries map[key]*storeEntry
 	bytes   uint64
 	stats   StoreStats
 }
@@ -221,21 +199,21 @@ func NewStore(maxBytes uint64) *Store {
 	if maxBytes == 0 {
 		maxBytes = DefaultStoreBytes
 	}
-	return &Store{max: maxBytes, entries: make(map[Key]*storeEntry)}
+	return &Store{max: maxBytes, entries: make(map[key]*storeEntry)}
 }
 
 // Get returns the batch for (p, instructions), materializing it
 // exactly once per key no matter how many workers ask simultaneously.
 func (s *Store) Get(p Profile, instructions uint64) *Batch {
-	key := Key{Bench: p.Name, Seed: p.Seed, Instructions: instructions}
+	k := key{Bench: p.Name, Seed: p.Seed, Instructions: instructions}
 	s.mu.Lock()
-	e, ok := s.entries[key]
+	e, ok := s.entries[k]
 	if ok {
 		s.stats.Hits++
 	} else {
 		s.stats.Misses++
 		e = &storeEntry{}
-		s.entries[key] = e
+		s.entries[k] = e
 	}
 	s.clock++
 	e.lastUse = s.clock
@@ -263,7 +241,7 @@ func (s *Store) maxOps() int {
 // keep, nor entries still materializing) until bytes fit the bound.
 func (s *Store) evictLocked(keep *storeEntry) {
 	for s.bytes > s.max {
-		var victimKey Key
+		var victimKey key
 		var victim *storeEntry
 		for k, e := range s.entries {
 			if e == keep || e.batch == nil {

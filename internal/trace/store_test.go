@@ -13,9 +13,9 @@ import (
 func TestReplayMatchesGenerator(t *testing.T) {
 	p := Profiles()[0]
 	const budget = 50_000
-	b := MaterializeBatch(p, budget)
-	if b.Ops() == 0 || b.Key() != (Key{Bench: p.Name, Seed: p.Seed, Instructions: budget}) {
-		t.Fatalf("bad batch: ops=%d key=%+v", b.Ops(), b.Key())
+	b := NewStore(0).Get(p, budget)
+	if len(b.ops) == 0 {
+		t.Fatal("empty batch")
 	}
 
 	g := NewGenerator(p)
@@ -39,7 +39,7 @@ func TestReplayMatchesGenerator(t *testing.T) {
 func TestReplayFillMatchesGeneratorFill(t *testing.T) {
 	p := Profiles()[1%len(Profiles())]
 	const budget = 20_000
-	for _, b := range []*Batch{MaterializeBatch(p, budget), materialize(p, budget, 700)} {
+	for _, b := range []*Batch{NewStore(0).Get(p, budget), materialize(p, budget, 700)} {
 		g := NewGenerator(p)
 		r := b.Replay()
 		// Limit beyond the materialized region to cross the boundary
@@ -52,23 +52,23 @@ func TestReplayFillMatchesGeneratorFill(t *testing.T) {
 			gn := g.Fill(gbuf, limit)
 			rn := r.Fill(rbuf, limit)
 			if gn != rn {
-				t.Fatalf("%d-op batch: fill counts diverged: %d vs %d", b.Ops(), gn, rn)
+				t.Fatalf("%d-op batch: fill counts diverged: %d vs %d", len(b.ops), gn, rn)
 			}
 			if gn == 0 {
 				break
 			}
 			if !reflect.DeepEqual(gbuf[:gn], rbuf[:rn]) {
-				t.Fatalf("%d-op batch: fill contents diverged", b.Ops())
+				t.Fatalf("%d-op batch: fill contents diverged", len(b.ops))
 			}
 			if fromBatch := r.pos - before; fromBatch > 0 && rn > fromBatch {
 				straddled = true
 			}
 		}
 		if g.Progress() != r.Progress() {
-			t.Fatalf("%d-op batch: final progress %d vs %d", b.Ops(), g.Progress(), r.Progress())
+			t.Fatalf("%d-op batch: final progress %d vs %d", len(b.ops), g.Progress(), r.Progress())
 		}
 		if !straddled {
-			t.Fatalf("%d-op batch: no fill crossed the batch end", b.Ops())
+			t.Fatalf("%d-op batch: no fill crossed the batch end", len(b.ops))
 		}
 	}
 }
@@ -78,7 +78,7 @@ func TestReplayFillMatchesGeneratorFill(t *testing.T) {
 func TestReplayCloneMidStream(t *testing.T) {
 	p := Profiles()[0]
 	const budget = 10_000
-	b := MaterializeBatch(p, budget)
+	b := NewStore(0).Get(p, budget)
 	for _, warm := range []uint64{budget / 2, 2 * budget} { // inside batch; inside tail
 		r := b.Replay()
 		for r.Progress() < warm {
@@ -143,16 +143,13 @@ func TestStoreSingleflight(t *testing.T) {
 	if st.Entries != 1 || st.Bytes == 0 {
 		t.Fatalf("occupancy = %+v", st)
 	}
-	if hr := st.HitRate(); hr <= 0.9 {
-		t.Fatalf("hit rate = %v", hr)
-	}
 }
 
 // TestStoreEviction: the byte bound evicts least-recently-used
 // entries; evicted batches remain usable by holders.
 func TestStoreEviction(t *testing.T) {
 	p := Profiles()[0]
-	one := MaterializeBatch(p, 5_000).Bytes()
+	one := NewStore(0).Get(p, 5_000).Bytes()
 	s := NewStore(2*one + one/2) // room for ~2 entries
 	b0 := s.Get(p, 5_000)
 	s.Get(p, 5_001)
@@ -207,7 +204,7 @@ func TestStoreBatchWithinBound(t *testing.T) {
 		want, got := g.Next(), r.Next()
 		if want != got || g.Progress() != r.Progress() {
 			t.Fatalf("op %d (batch holds %d): replay %+v at %d, generator %+v at %d",
-				i, b.Ops(), got, r.Progress(), want, g.Progress())
+				i, len(b.ops), got, r.Progress(), want, g.Progress())
 		}
 	}
 }
