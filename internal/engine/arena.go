@@ -14,12 +14,16 @@ import (
 // for the synthetic address map), the epoch-membership generation
 // set, the precomputed BMT path table, the trace batch buffer, the
 // machine's caches (three metadata caches and, once a run has read
-// one, the data hierarchy, 1.4MB together at the defaults), and a
-// recording of the last profile's op stream. Sweeps that execute many
-// runs back to back hand the same arena to each Config so the big
-// allocations happen once per worker instead of once per run, and Run
-// generates a profile's stream once for all the runs that read it from
-// one arena; results are bit-identical with or without one.
+// one, the data hierarchy, 1.4MB together at the defaults), a
+// recording of the last profile's op stream, and a recording of where
+// one sharing run's metadata-cache lookups over that stream missed
+// (see lookups.go). Sweeps that execute many runs back to back hand
+// the same arena to each Config so the big allocations happen once per
+// worker instead of once per run, Run generates a profile's stream
+// once for all the runs that read it from one arena, and the runs of
+// the schemes whose lookups the stream fixes search the metadata
+// caches once for all of them; results are bit-identical with or
+// without one.
 //
 // An arena is not safe for concurrent use: at most one run may use it
 // at a time. The zero value is ready to use.
@@ -37,7 +41,8 @@ type Arena struct {
 	ctr, mac, bmt *cache.Cache
 	data          *hier.Hierarchy
 
-	rec trace.Recording
+	rec  trace.Recording
+	look lookupRecording
 }
 
 // NewArena returns an empty arena; buffers grow on first use.

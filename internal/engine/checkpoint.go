@@ -98,7 +98,11 @@ func NewCheckpointSource(cfg Config, bench string, seed uint64, ipc float64, src
 	// source exactly to the boundary and leaves no filled op behind:
 	// the clone is the stream's position.
 	warm := c.CloneSource()
-	warmCaches(data, ctr, cfg.IdealMDC, newOpStream(warm, make([]trace.Op, opBatch)), cfg.Warmup)
+	warmCtr := ctr
+	if cfg.IdealMDC {
+		warmCtr = nil
+	}
+	warmCaches(data, warmCtr, newOpStream(warm, make([]trace.Op, opBatch)), cfg.Warmup)
 	ck.data = data.Snapshot()
 	ck.ctr = ctr.Snapshot()
 	ck.source = warm.(trace.CloneableSource)

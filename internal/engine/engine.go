@@ -360,6 +360,13 @@ type machine struct {
 	ctrCache *cache.Cache
 	macCache *cache.Cache
 	bmtCache *cache.Cache
+	// shared marks a run that shares its metadata lookups (see
+	// lookups.go): it looks the three caches up through ctr, mac and
+	// bmt, which record or replay them. Every lookup site tests it and
+	// a live run calls its cache directly, since a wrapper in between
+	// would cost a call per lookup.
+	shared        bool
+	ctr, mac, bmt mdc
 	// data is the Table III L1/L2/LLC write-back hierarchy, nil for a
 	// run that never reads it: only the secure_WB baseline and
 	// ReadVerification's loads do (write-through schemes bypass it for
@@ -556,7 +563,13 @@ func (m *machine) nodeUpdate(label bmt.Label, start sim.Cycle) sim.Cycle {
 		return start // free metadata, zero-latency MAC
 	}
 	ready := start
-	if !m.bmtCache.Access(bmtLine(label), true) {
+	var hit bool
+	if line := bmtLine(label); m.shared {
+		hit = m.bmt.hit(line, true)
+	} else {
+		hit = m.bmtCache.Access(line, true)
+	}
+	if !hit {
 		ready = m.mem.Read(m.lay.BMTLine(label), ready)
 		m.mark(CompBMTFetch, ready)
 	}
@@ -572,7 +585,13 @@ func (m *machine) nodeUpdatePiped(label bmt.Label, start sim.Cycle) sim.Cycle {
 		return start
 	}
 	ready := start
-	if !m.bmtCache.Access(bmtLine(label), true) {
+	var hit bool
+	if line := bmtLine(label); m.shared {
+		hit = m.bmt.hit(line, true)
+	} else {
+		hit = m.bmtCache.Access(line, true)
+	}
+	if !hit {
 		ready = m.mem.Read(m.lay.BMTLine(label), ready)
 	}
 	_, done := m.macPipe.Acquire(ready)
@@ -587,11 +606,20 @@ func (m *machine) metaFetch(b addr.Block, ready sim.Cycle) sim.Cycle {
 		return ready
 	}
 	ab := m.aliasBlock(b)
-	if !m.ctrCache.Access(cache.Line(addr.PageOfBlock(b)), true) {
+	// The caches are independent of each other and of the NVM model,
+	// so both lookups may come before the counter's fetch.
+	ctrLine, macLine := cache.Line(addr.PageOfBlock(b)), cache.Line(mac.BlockOf(b))
+	var ctrHit, macHit bool
+	if m.shared {
+		ctrHit, macHit = m.ctr.hit(ctrLine, true), m.mac.hit(macLine, true)
+	} else {
+		ctrHit, macHit = m.ctrCache.Access(ctrLine, true), m.macCache.Access(macLine, true)
+	}
+	if !ctrHit {
 		ready = m.mem.Read(m.lay.CtrLine(addr.PageOfBlock(ab)), ready)
 		m.mark(CompMeta, ready)
 	}
-	if !m.macCache.Access(cache.Line(mac.BlockOf(b)), true) {
+	if !macHit {
 		// The MAC block fetch overlaps the BMT walk; it delays neither
 		// the leaf update nor (in practice) the root, so only occupancy
 		// is modelled.
@@ -641,19 +669,24 @@ func (m *machine) persistWrites(b addr.Block, at sim.Cycle) sim.Cycle {
 
 // warm streams instructions through the data hierarchy, if the run has
 // one, and the counter cache without timing, populating them before
-// the measured region.
+// the measured region. An IdealMDC run has no counter cache to warm,
+// and a replaying run (see shareLookups) never reads its own.
 func (m *machine) warm(st *opStream, instrs uint64) {
-	warmCaches(m.data, m.ctrCache, m.cfg.IdealMDC, st, instrs)
+	ctr := m.ctrCache
+	if m.cfg.IdealMDC || m.ctr.replay {
+		ctr = nil
+	}
+	warmCaches(m.data, ctr, st, instrs)
 }
 
 // warmCaches is the warm-up loop shared by RunSource and checkpoint
 // construction: it streams instructions through the data hierarchy
-// (unless data is nil) and counter cache without timing, walking each
+// and counter cache, each unless nil, without timing, walking each
 // batch in place. Warm-up state therefore depends on exactly the
 // stream prefix and these two structures' geometry — the fields
 // warmupConfig keeps. It fills under its own bound, so it leaves no
 // filled op unconsumed.
-func warmCaches(data *hier.Hierarchy, ctr *cache.Cache, idealMDC bool, st *opStream, instrs uint64) {
+func warmCaches(data *hier.Hierarchy, ctr *cache.Cache, st *opStream, instrs uint64) {
 	for st.consumed < instrs {
 		ops := st.ops(instrs)
 		if len(ops) == 0 {
@@ -666,22 +699,12 @@ func warmCaches(data *hier.Hierarchy, ctr *cache.Cache, idealMDC bool, st *opStr
 			if data != nil {
 				data.Access(cache.Line(op.Block), op.Kind == trace.OpStore)
 			}
-			if !idealMDC {
+			if ctr != nil {
 				ctr.Access(cache.Line(addr.PageOfBlock(op.Block)), false)
 			}
 		}
 		st.take(k, consumed)
 	}
-}
-
-// loadAccess models the metadata-side work of a load: counters are
-// needed for decryption (off the critical path, §VI, so only cache
-// occupancy is modelled).
-func (m *machine) loadAccess(b addr.Block) {
-	if m.cfg.IdealMDC {
-		return
-	}
-	m.ctrCache.Access(cache.Line(addr.PageOfBlock(b)), false)
 }
 
 // verifyRead models the load-side verification *traffic* when
@@ -727,10 +750,12 @@ func (m *machine) verifyRead(b addr.Block, at sim.Cycle) {
 
 // Run simulates profile prof under cfg. With an arena, the run reads
 // prof's stream from the arena's recording, recording what it reads
-// first (see Arena); without one it generates the stream privately.
+// first, and a sharing scheme's run also shares its metadata-cache
+// lookups there (see Arena); without one it generates the stream
+// privately.
 func Run(cfg Config, prof trace.Profile) Result {
 	if cfg.Arena != nil {
-		return RunSource(cfg, prof.Name, prof.IPC, cfg.Arena.rec.Reader(prof))
+		return simulate(cfg, prof.Name, prof.IPC, cfg.Arena.rec.Reader(prof), &prof)
 	}
 	return RunSource(cfg, prof.Name, prof.IPC, trace.NewGenerator(prof))
 }
@@ -739,11 +764,22 @@ func Run(cfg Config, prof trace.Profile) Result {
 // generator or a recorded trace) under cfg. ipc is the baseline core
 // IPC of the traced workload.
 func RunSource(cfg Config, bench string, ipc float64, src trace.Source) Result {
+	return simulate(cfg, bench, ipc, src, nil)
+}
+
+// simulate is RunSource. When src reads the arena's recording of a
+// profile's stream, recorded names that profile, so the run may share
+// its metadata lookups (see shareLookups); an arbitrary source has no
+// stream identity to share them under.
+func simulate(cfg Config, bench string, ipc float64, src trace.Source, recorded *trace.Profile) Result {
 	cfg.fill()
 	if ipc <= 0 {
 		ipc = 1
 	}
 	m := newMachine(cfg)
+	if recorded != nil {
+		m.shareLookups(*recorded)
+	}
 
 	st := newOpStream(src, m.ar.opBuf(opBatch))
 	if cfg.Warmup > 0 {
@@ -768,6 +804,7 @@ func (m *machine) measure(st *opStream, bench string, ipc float64) Result {
 		panic(fmt.Sprintf("engine: unknown scheme %q", m.cfg.Scheme))
 	}
 	m.spec.run(m, st, ipc, &res)
+	m.closeLookups()
 
 	res.Cycles = cyc(m.coreTime)
 	res.Instructions = m.cfg.Instructions - m.cfg.Warmup
@@ -778,9 +815,7 @@ func (m *machine) measure(st *opStream, bench string, ipc float64) Result {
 	res.WPQStalls = m.q.FullStalls
 	res.WPQWaitLatency = m.q.WaitLatency
 	res.Attribution, res.AttribDrift = m.att.finalize(res.Cycles)
-	res.CtrHitRate = m.ctrCache.Stats.HitRate()
-	res.MACHitRate = m.macCache.Stats.HitRate()
-	res.BMTHitRate = m.bmtCache.Stats.HitRate()
+	res.CtrHitRate, res.MACHitRate, res.BMTHitRate = m.hitRates()
 	res.NVMReads = m.mem.Reads
 	res.NVMWrites = m.mem.Writes
 	if obs := m.cfg.Observer; obs != nil {

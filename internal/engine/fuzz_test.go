@@ -128,7 +128,11 @@ func (o *countingObserver) check(res engine.Result) string {
 // observer attached, which leave its Key unchanged. The rerun shares
 // one arena with every earlier input, so it also catches per-run state
 // that a run leaves behind in the arena, its views of the recorded op
-// stream, the write queue or the PTT walk. The observer must see the
+// stream, the write queue or the PTT walk. All twelve schemes rerun
+// one config there, so unless it sets IdealMDC or ReadVerification
+// the first of the seven schemes that share their metadata-cache
+// lookups records them and the other six replay them: every such
+// input also holds a replay to the live run. The observer must see the
 // persists in program order, one record per persist and per epoch,
 // an End probe carrying the Result's totals, and telemetry windows
 // whose persists, epochs, NVM reads and NVM writes sum to the

@@ -32,7 +32,7 @@ func (m *machine) runOps(st *opStream, ipc float64, store func(addr.Block)) {
 	cpi := 1 / ipc
 	writeBack := m.spec.writeBack
 	allStores := writeBack || m.cfg.FullMemory
-	readVerification := m.cfg.ReadVerification
+	readVerification, idealMDC := m.cfg.ReadVerification, m.cfg.IdealMDC
 	end := m.cfg.Instructions
 	poll := cancelPollOps // ops up to and including the next poll
 	for st.consumed < end {
@@ -57,7 +57,13 @@ func (m *machine) runOps(st *opStream, ipc float64, store func(addr.Block)) {
 				if readVerification {
 					m.verifyRead(op.Block, cyc(m.coreTime))
 				} else {
-					m.loadAccess(op.Block)
+					// The load's counter decrypts it: off the critical
+					// path (§VI), so only cache occupancy is modelled.
+					if ctr := cache.Line(addr.PageOfBlock(op.Block)); m.shared {
+						m.ctr.hit(ctr, false)
+					} else if !idealMDC {
+						m.ctrCache.Access(ctr, false)
+					}
 					if writeBack {
 						m.data.Access(cache.Line(op.Block), false)
 					}
@@ -114,7 +120,7 @@ func (m *machine) walk(tab *ptt.Table, path []bmt.Label, ready sim.Cycle, pipeli
 	} else {
 		leafStart = max(ready, tab.Stage(1)) // previous root update
 	}
-	ideal, macLat := m.cfg.IdealMDC, m.cfg.MACLatency
+	ideal, macLat, shared := m.cfg.IdealMDC, m.cfg.MACLatency, m.shared
 	writeThrough, depth := m.spec.writeThrough, m.nodePersistDepth
 	done := leafStart
 	for i, label := range path {
@@ -124,7 +130,13 @@ func (m *machine) walk(tab *ptt.Table, path []bmt.Label, ready sim.Cycle, pipeli
 		}
 		m.mark(CompSched, done)
 		if !ideal {
-			if !m.bmtCache.Access(bmtLine(label), true) {
+			var hit bool
+			if line := bmtLine(label); shared {
+				hit = m.bmt.hit(line, true)
+			} else {
+				hit = m.bmtCache.Access(line, true)
+			}
+			if !hit {
 				done = m.mem.Read(m.lay.BMTLine(label), done)
 				m.mark(CompBMTFetch, done)
 			}

@@ -75,6 +75,13 @@ type SchemeSpec struct {
 	// but the write is off the walk's critical path, unlike
 	// persistDepth's chained writes.
 	writeThrough bool
+	// sharesLookups: the scheme looks its metadata caches up in an
+	// order the op stream fixes alone (each load's counter; each
+	// persisted store's counter, its MAC and its whole BMT path), so
+	// its runs over one arena's recording share them (see
+	// shareLookups). A scheme that skips a fetch or a walk, or batches
+	// stores into epochs, looks up other lines or in another order.
+	sharesLookups bool
 	// validate, when non-nil, adds scheme-specific checks to
 	// Config.Validate.
 	validate func(Config) error
@@ -133,21 +140,21 @@ var _ = []*SchemeSpec{
 		Doc:       "write-through with Invariant 2 unenforced: full overlap, roots unordered, unrecoverable",
 		Guarantee: GuaranteeNone,
 		Recovery:  recovery.Model{Kind: recovery.KindNone},
-		run:       runUnordered,
+		run:       runUnordered, sharesLookups: true,
 	}),
 	register(SchemeSpec{
 		Scheme: SchemeSP, Core: true,
 		Doc:       "strict persistency, sequential leaf-to-root updates; the core stalls per persist",
 		Guarantee: GuaranteeStrict,
 		Recovery:  recovery.Model{Kind: recovery.KindRebuildFull},
-		run:       runSP,
+		run:       runSP, sharesLookups: true,
 	}),
 	register(SchemeSpec{
 		Scheme: SchemePipeline, Core: true,
 		Doc:       "PLP mechanism 1: strict persistency with in-order pipelined BMT updates (PTT)",
 		Guarantee: GuaranteeStrict,
 		Recovery:  recovery.Model{Kind: recovery.KindRebuildFull},
-		run:       runPipeline,
+		run:       runPipeline, sharesLookups: true,
 	}),
 	register(SchemeSpec{
 		Scheme: SchemeO3, Core: true,
@@ -168,7 +175,7 @@ var _ = []*SchemeSpec{
 		Doc:       "SGX-style counter tree (§IV-D): the whole leaf-to-root path persists per store",
 		Guarantee: GuaranteeStrict,
 		Recovery:  recovery.Model{Kind: recovery.KindVerifyRoot},
-		run:       runSP, persistDepth: fullDepth,
+		run:       runSP, persistDepth: fullDepth, sharesLookups: true,
 	}),
 	register(SchemeSpec{
 		Scheme:    SchemeColocated,
@@ -183,12 +190,13 @@ var _ = []*SchemeSpec{
 	// critical path (persistDepth drives walk). Recovery then
 	// rebuilds only the volatile top of the tree.
 	register(SchemeSpec{
-		Scheme:       SchemeTriadSel,
-		Doc:          "Triad-NVM selective persistence: the lowest TriadLevels tree levels persist inline",
-		Guarantee:    GuaranteeStrict,
-		Recovery:     recovery.Model{Kind: recovery.KindRebuildTop},
-		run:          runSP,
-		persistDepth: func(c Config) int { return c.TriadLevels },
+		Scheme:        SchemeTriadSel,
+		Doc:           "Triad-NVM selective persistence: the lowest TriadLevels tree levels persist inline",
+		Guarantee:     GuaranteeStrict,
+		Recovery:      recovery.Model{Kind: recovery.KindRebuildTop},
+		run:           runSP,
+		persistDepth:  func(c Config) int { return c.TriadLevels },
+		sharesLookups: true,
 		validate: func(c Config) error {
 			if c.TriadLevels < 1 || c.TriadLevels > c.BMTLevels {
 				return fmt.Errorf("engine: TriadLevels must be in [1, BMTLevels=%d], got %d",
@@ -210,14 +218,14 @@ var _ = []*SchemeSpec{
 		Doc:       "Phoenix persistently secure tree: every node write-through persisted, pipelined walks",
 		Guarantee: GuaranteeStrict,
 		Recovery:  recovery.Model{Kind: recovery.KindVerifyRoot},
-		run:       runPipeline, writeThrough: true,
+		run:       runPipeline, writeThrough: true, sharesLookups: true,
 	}),
 	register(SchemeSpec{
 		Scheme:    SchemeShadow,
 		Doc:       "Anubis-style shadow tracking: a durable shadow entry per in-flight metadata update",
 		Guarantee: GuaranteeStrict,
 		Recovery:  recovery.Model{Kind: recovery.KindShadowReplay},
-		run:       runShadow,
+		run:       runShadow, sharesLookups: true,
 	}),
 	register(SchemeSpec{
 		Scheme:    SchemeSuperMemWC,

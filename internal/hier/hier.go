@@ -8,8 +8,12 @@
 // Each level is a tag store of its own (see level), tuned for misses,
 // which dominate this traffic; internal/cache, which the metadata
 // caches use, is tuned for hits and serves as the levels' reference in
-// the tests. The hierarchy keeps the same hits, misses, evictions,
-// writebacks and LRU order as levels built from internal/cache.
+// the tests. Most misses are to lines no level has held since the last
+// Reset, so the hierarchy also keeps a "possibly resident" bit per
+// line (see filter): an access whose bit is clear misses everywhere,
+// and fills every level without a tag search. The hierarchy keeps the
+// same hits, misses, evictions, writebacks and LRU order as levels
+// built from internal/cache.
 package hier
 
 import (
@@ -21,6 +25,7 @@ import (
 // Hierarchy is an inclusive-fill multi-level write-back cache.
 type Hierarchy struct {
 	levels []level
+	seen   filter
 	// OnMemWriteback receives dirty lines evicted from the last level.
 	OnMemWriteback func(cache.Line)
 	// MemReads counts demand misses that reached memory.
@@ -89,7 +94,22 @@ func (h *Hierarchy) LLC() (lines, ways int) {
 // the line, filled by this access's own walk and untouched since (a
 // displaced line cascades only downward), so it still heads its set's
 // recency ring there.
+//
+// A line whose residency bit is clear (see filter) misses every level,
+// so its access skips the tag searches: each level counts the access
+// and the miss and fills the line, with the same victims, cascades and
+// counts as the lookup path.
 func (h *Hierarchy) Access(l cache.Line, write bool) int {
+	if h.seen.add(l) {
+		for depth := range h.levels {
+			victim, wb := h.levels[depth].miss(l, write && depth == 0)
+			if wb {
+				h.writeback(depth+1, victim)
+			}
+		}
+		h.MemReads++
+		return len(h.levels)
+	}
 	for depth := range h.levels {
 		hit, victim, wb := h.levels[depth].access(l, write && depth == 0)
 		if wb {
@@ -124,6 +144,7 @@ func (h *Hierarchy) Reset() {
 	for i := range h.levels {
 		h.levels[i].reset()
 	}
+	h.seen.reset()
 	h.MemReads = 0
 	h.OnMemWriteback = nil
 }

@@ -185,13 +185,9 @@ func (lv *level) fill(l cache.Line, set int, write bool) (victim cache.Line, wb 
 // access is a demand read (write=false) or write of l, filling on a
 // miss. It reports a hit, and the dirty line a miss displaced, if any.
 func (lv *level) access(l cache.Line, write bool) (hit bool, victim cache.Line, wb bool) {
-	if write {
-		lv.stats.Writes++
-	} else {
-		lv.stats.Reads++
-	}
 	set := int(uint64(l) & lv.mask)
 	if w := lv.find(l, set); w >= 0 {
+		lv.count(write)
 		lv.stats.Hits++
 		lv.touch(set, w)
 		if write {
@@ -199,9 +195,26 @@ func (lv *level) access(l cache.Line, write bool) (hit bool, victim cache.Line, 
 		}
 		return true, 0, false
 	}
-	lv.stats.Misses++
-	victim, wb = lv.fill(l, set, write)
+	victim, wb = lv.miss(l, write)
 	return false, victim, wb
+}
+
+// miss is a demand read or write of l, which the level does not hold:
+// it counts the access and the miss and fills l, returning the dirty
+// line the fill displaced, if any.
+func (lv *level) miss(l cache.Line, write bool) (victim cache.Line, wb bool) {
+	lv.count(write)
+	lv.stats.Misses++
+	return lv.fill(l, int(uint64(l)&lv.mask), write)
+}
+
+// count counts a demand read or write.
+func (lv *level) count(write bool) {
+	if write {
+		lv.stats.Writes++
+	} else {
+		lv.stats.Reads++
+	}
 }
 
 // writebackFill takes a dirty line evicted from the level above: the

@@ -279,3 +279,144 @@ func TestAccessMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// has reports whether l's residency bit is set.
+func (f *filter) has(l cache.Line) bool {
+	c := f.chunks[l>>chunkShift]
+	return c != nil && c[l>>6&(chunkWords-1)]&(1<<(l&63)) != 0
+}
+
+// filterHolds reports a resident line of h whose residency bit is
+// clear, the one thing the filter must never allow.
+func (h *Hierarchy) filterHolds() string {
+	for k := range h.levels {
+		resident, _ := h.lines(k)
+		for _, l := range resident {
+			if uint64(l) < filterLines && !h.seen.has(l) {
+				return fmt.Sprintf("level %d holds line %#x with a clear residency bit", k, l)
+			}
+		}
+	}
+	return ""
+}
+
+// TestFilterMatchesReference holds the residency filter's cold path to
+// the internal/cache reference, which has no filter, over the streams
+// the engine gives a hierarchy: a fresh one after Reset; a Snapshot,
+// more traffic, and a Restore; then revisits of the lines the snapshot
+// holds and of lines evicted before it. Every access must resolve as
+// the reference's, and after each phase every resident line must have
+// its bit set. A line the snapshot holds must never take the cold
+// path: the L1's lines, revisited first, all hit there. A line
+// evicted before the snapshot misses, through the cold path: the
+// Restore left only the snapshot's lines' bits set. Lines evicted
+// during a phase and revisited in it miss through the lookup path. A
+// tenth of the lines lie past the filter's range and take the lookup
+// path throughout.
+func TestFilterMatchesReference(t *testing.T) {
+	cfgs := []cache.Config{wbLevel("l1", 64, 4), wbLevel("l2", 512, 8), wbLevel("llc", 2048, 16)}
+	p := newPair(MustNew(cfgs...), newRefHierarchy(cfgs...))
+	r := xrand.New(11)
+	fresh := cache.Line(1 << 20)
+	var cold, lookupMisses, far int
+	touched := map[cache.Line]bool{}
+	access := func(l cache.Line, write bool) (missed bool) {
+		t.Helper()
+		inRange := uint64(l) < filterLines
+		wasCold := inRange && !p.h.seen.has(l)
+		misses := p.depths[p.h.Depth()]
+		if msg := p.step(l, write); msg != "" {
+			t.Fatal(msg)
+		}
+		missed = p.depths[p.h.Depth()] > misses
+		switch {
+		case !inRange:
+			far++
+		case wasCold:
+			cold++
+		case missed:
+			lookupMisses++
+		}
+		touched[l] = true
+		return missed
+	}
+	phase := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			var l cache.Line
+			switch x := r.Intn(10); {
+			case x < 3:
+				l = cache.Line(r.Intn(96))
+			case x < 6:
+				l = cache.Line(r.Intn(4096))
+			case x < 9:
+				l, fresh = fresh, fresh+1
+			default:
+				l = filterLines + cache.Line(r.Intn(1<<20))
+			}
+			access(l, r.Bool(0.4))
+		}
+		if msg := p.h.filterHolds(); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+
+	p.h.Reset()
+	p.ref.reset()
+	p.hook()
+	phase(30_000)
+	snap, refSnap := p.h.Snapshot(), p.ref.snapshot()
+	held := map[cache.Line]bool{}
+	for k := range cfgs {
+		resident, _ := p.h.lines(k)
+		for _, l := range resident {
+			held[l] = true
+		}
+	}
+	var evicted []cache.Line
+	for l := range touched {
+		if !held[l] && uint64(l) < filterLines {
+			evicted = append(evicted, l)
+		}
+	}
+	slices.Sort(evicted)
+	l1, _ := p.h.lines(0)
+	phase(20_000)
+	if err := p.h.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	p.ref.restore(refSnap)
+	if msg := p.h.matches(p.ref, true); msg != "" {
+		t.Fatalf("after Restore: %s", msg)
+	}
+	if msg := p.h.filterHolds(); msg != "" {
+		t.Fatalf("after Restore: %s", msg)
+	}
+	for _, l := range l1 {
+		if d := p.h.Access(l, false); d != 0 || p.ref.access(l, false) != 0 {
+			t.Fatalf("line %#x, in the snapshot's L1, resolved at depth %d after Restore", l, d)
+		}
+	}
+	coldBefore := cold
+	for _, l := range evicted[:min(len(evicted), 2048)] {
+		if !access(l, false) {
+			t.Fatalf("line %#x, evicted before the snapshot, hit after Restore", l)
+		}
+	}
+	if cold-coldBefore != min(len(evicted), 2048) {
+		t.Fatalf("%d of %d lines evicted before the snapshot took the cold path after Restore",
+			cold-coldBefore, min(len(evicted), 2048))
+	}
+	phase(20_000)
+
+	p.h.Reset()
+	p.ref = newRefHierarchy(cfgs...)
+	p.hook()
+	phase(10_000)
+	if cold == 0 || lookupMisses == 0 || far == 0 {
+		t.Fatalf("cold %d, lookup-path misses %d, past the range %d: a path went unexercised", cold, lookupMisses, far)
+	}
+	p.finish(t)
+	t.Logf("%d lines evicted before the snapshot; cold path %d, lookup-path misses %d, past the filter's range %d",
+		len(evicted), cold, lookupMisses, far)
+}

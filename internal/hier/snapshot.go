@@ -49,8 +49,9 @@ func (h *Hierarchy) Snapshot() *Snapshot {
 	return s
 }
 
-// Restore resets the hierarchy to a previously captured snapshot. The
-// target must have the same level count and per-level geometry;
+// Restore resets the hierarchy to a previously captured snapshot, and
+// its residency filter to the lines the snapshot holds. The target
+// must have the same level count and per-level geometry;
 // OnMemWriteback is left untouched.
 func (h *Hierarchy) Restore(s *Snapshot) error {
 	if len(s.levels) != len(h.levels) {
@@ -77,6 +78,15 @@ func (h *Hierarchy) Restore(s *Snapshot) error {
 			copy(lv.newer, sv.newer)
 		}
 		lv.stats = sv.stats
+	}
+	h.seen.reset()
+	for i := range h.levels {
+		lv := &h.levels[i]
+		for set, st := range lv.sets {
+			for _, l := range lv.tags[set*lv.ways : set*lv.ways+int(st.n)] {
+				h.seen.add(l)
+			}
+		}
 	}
 	h.MemReads = s.memReads
 	return nil
