@@ -13,7 +13,7 @@ import (
 	"plp/internal/registry"
 )
 
-func newTestServer(t *testing.T, cfg jobs.Config) (*httptest.Server, *jobs.Service) {
+func newTestServer(t testing.TB, cfg jobs.Config) (*httptest.Server, *jobs.Service) {
 	t.Helper()
 	srv := newServer(cfg)
 	ts := httptest.NewServer(srv.handler())

@@ -12,12 +12,14 @@ import (
 // Arena holds what a run can reuse from the run before it: the
 // write-merge table (one cycle per data, counter and MAC line, ~77MB
 // for the synthetic address map), the epoch-membership generation
-// set, the precomputed BMT path table, the trace batch buffer, the
-// machine's caches (three metadata caches and, once a run has read
-// one, the data hierarchy, 1.4MB together at the defaults), a
-// recording of the last profile's op stream, and a recording of where
-// one sharing run's metadata-cache lookups over that stream missed
-// (see lookups.go). Sweeps that execute many runs back to back hand
+// set, the precomputed BMT path table, the op buffer, the machine's
+// caches (three metadata caches and, once a run has read one, the data
+// hierarchy, 1.4MB together at the defaults), a growing recording of
+// the last profile's op stream, and a recording of where one sharing
+// run's metadata-cache lookups over that stream missed (see
+// lookups.go). The op-stream recording's pages move to the next
+// profile, so no Checkpoint may pin a position in it: checkpoints keep
+// a reader of a trace.Store's built recording instead. Sweeps that execute many runs back to back hand
 // the same arena to each Config so the big allocations happen once per
 // worker instead of once per run, Run generates a profile's stream
 // once for all the runs that read it from one arena, and the runs of
@@ -121,7 +123,7 @@ func (a *Arena) gens(n uint64) ([]uint32, uint32) {
 	return a.epochGen, a.epochCur
 }
 
-// opBuf returns a trace batch buffer of length n.
+// opBuf returns an op buffer of length n.
 func (a *Arena) opBuf(n int) []trace.Op {
 	if cap(a.ops) < n {
 		a.ops = make([]trace.Op, n)

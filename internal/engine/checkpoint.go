@@ -10,15 +10,16 @@ import (
 
 // Checkpoint freezes a run's complete state at the warm-up boundary:
 // deep snapshots of the two structures warm-up mutates (the data
-// hierarchy and the counter cache) and the op source positioned just
-// past the warm-up's last op. Resuming a checkpoint and running the
-// measured region is bit-identical to an uninterrupted run (pinned by
-// TestCheckpointResumeEquivalence), for every config that shares the
-// checkpoint's key — the warm-up work is paid once per (trace, warm-up
-// shape) instead of once per scheme.
+// hierarchy and the counter cache) and a reader of a built recording
+// of the stream, positioned just past the warm-up's last op. Resuming
+// a checkpoint and running the measured region is bit-identical to an
+// uninterrupted run (pinned by TestCheckpointResumeEquivalence), for
+// every config that shares the checkpoint's key — the warm-up work is
+// paid once per (trace, warm-up shape) instead of once per scheme.
 //
 // A checkpoint is immutable after construction: it may be resumed any
-// number of times, concurrently, each resume building its own machine.
+// number of times, concurrently, each resume building its own machine
+// and reading a clone of the reader.
 type Checkpoint struct {
 	key   CheckpointKey
 	bench string
@@ -27,7 +28,7 @@ type Checkpoint struct {
 	data *hier.Snapshot
 	ctr  *cache.Snapshot
 
-	source trace.CloneableSource // positioned at the warm-up boundary
+	src *trace.RecordingReader // at the warm-up boundary
 }
 
 // CheckpointKey identifies one warm-up checkpoint: the trace identity
@@ -65,63 +66,49 @@ func warmupConfig(cfg Config) Config {
 	}
 }
 
-// NewCheckpoint builds the warm-up checkpoint of (cfg, prof): it
-// streams cfg.Warmup instructions of prof's trace through fresh
-// warm-up structures and snapshots everything a resumed run needs.
-func NewCheckpoint(cfg Config, prof trace.Profile) (*Checkpoint, error) {
-	return NewCheckpointSource(cfg, prof.Name, prof.Seed, prof.IPC, trace.NewGenerator(prof))
-}
-
-// NewCheckpointSource is NewCheckpoint over an arbitrary cloneable
-// source (a generator, or a trace.Store replay — which shares the
-// materialized batch instead of re-generating it). seed and bench
-// identify the trace in the checkpoint's key; ipc is the baseline core
-// IPC a resumed run simulates at. The caller's source is not consumed.
-func NewCheckpointSource(cfg Config, bench string, seed uint64, ipc float64, src trace.Source) (*Checkpoint, error) {
-	key := CheckpointKeyFor(cfg, bench, seed)
+// NewCheckpoint builds the warm-up checkpoint of (cfg, prof) over rec,
+// a built recording of prof's stream (trace.Store.Get's): it streams
+// cfg.Warmup instructions of the stream through fresh warm-up
+// structures and snapshots everything a resumed run needs. It panics
+// if rec is an arena's growing recording, whose pages no checkpoint
+// may pin, or a recording of another profile.
+func NewCheckpoint(cfg Config, prof trace.Profile, rec *trace.Recording) *Checkpoint {
+	key := CheckpointKeyFor(cfg, prof.Name, prof.Seed)
 	cfg = key.Cfg
+	ipc := prof.IPC
 	if ipc <= 0 {
 		ipc = 1
 	}
-	c, ok := src.(trace.CloneableSource)
-	if !ok {
-		return nil, fmt.Errorf("engine: source %T is not checkpointable (no CloneSource)", src)
-	}
-	ck := &Checkpoint{
-		key:   key,
-		bench: bench,
-		ipc:   ipc,
-	}
+	// Cloning refuses a growing recording before any work is done.
+	src := rec.Reader(prof).Clone()
 	data := hier.Default(cfg.LLCKB, cfg.LLCWays)
 	ctr := newMDC("ctr", cfg.CtrCacheKB, cfg.MDCWays)
-	// Warm-up fills under its own bound, so it reads its clone of the
-	// source exactly to the boundary and leaves no filled op behind:
-	// the clone is the stream's position.
-	warm := c.CloneSource()
 	warmCtr := ctr
 	if cfg.IdealMDC {
 		warmCtr = nil
 	}
-	warmCaches(data, warmCtr, newOpStream(warm, make([]trace.Op, opBatch)), cfg.Warmup)
-	ck.data = data.Snapshot()
-	ck.ctr = ctr.Snapshot()
-	ck.source = warm.(trace.CloneableSource)
-	return ck, nil
+	// Warm-up fills under its own bound, so it reads src exactly to the
+	// boundary and leaves no filled op behind: src is the stream's
+	// position.
+	warmCaches(data, warmCtr, newOpStream(src, make([]trace.Op, opBatch)), cfg.Warmup)
+	return &Checkpoint{
+		key:   key,
+		bench: prof.Name,
+		ipc:   ipc,
+		data:  data.Snapshot(),
+		ctr:   ctr.Snapshot(),
+		src:   src,
+	}
 }
 
 // Key returns the checkpoint's identity.
 func (ck *Checkpoint) Key() CheckpointKey { return ck.key }
 
-// Bytes returns the checkpoint's approximate memory footprint.
+// Bytes returns the checkpoint's approximate memory footprint: its
+// two cache snapshots. It leaves out the recording its reader pins,
+// which a trace.Store counts while it holds it.
 func (ck *Checkpoint) Bytes() uint64 {
-	var n uint64
-	if ck.data != nil {
-		n += ck.data.Bytes()
-	}
-	if ck.ctr != nil {
-		n += ck.ctr.Bytes()
-	}
-	return n + 1024
+	return ck.data.Bytes() + ck.ctr.Bytes() + 1024
 }
 
 // Resume runs cfg's measured region from the checkpoint, skipping the
@@ -145,7 +132,7 @@ func (ck *Checkpoint) Resume(cfg Config) (Result, error) {
 	if err := m.ctrCache.Restore(ck.ctr); err != nil {
 		return Result{}, fmt.Errorf("engine: resume: %w", err)
 	}
-	st := newOpStream(ck.source.CloneSource(), m.ar.opBuf(opBatch))
+	st := newOpStream(ck.src.Clone(), m.ar.opBuf(opBatch))
 	m.cfg.Instructions += cfg.Warmup
 	return m.measure(st, ck.bench, ck.ipc), nil
 }

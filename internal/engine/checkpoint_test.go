@@ -7,6 +7,13 @@ import (
 	"plp/internal/trace"
 )
 
+// newCheckpoint builds cfg's warm-up checkpoint of prof over a store's
+// built recording of the stream, as the harness does.
+func newCheckpoint(cfg Config, prof trace.Profile) *Checkpoint {
+	n := cfg.Normalized()
+	return NewCheckpoint(cfg, prof, trace.NewStore(0).Get(prof, n.Instructions+n.Warmup))
+}
+
 // TestCheckpointResumeEquivalence is the checkpoint determinism
 // contract: for every scheme, with and without a shared Arena,
 // Checkpoint→Resume produces the bit-identical Result to an
@@ -21,10 +28,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			ar = NewArena()
 		}
 		base := Config{Instructions: 60_000, Warmup: 20_000}
-		ck, err := NewCheckpoint(base, prof)
-		if err != nil {
-			t.Fatalf("arena=%v: %v", arena, err)
-		}
+		ck := newCheckpoint(base, prof)
 		for _, s := range schemes {
 			cfg := base
 			cfg.Scheme = s
@@ -46,10 +50,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 func TestCheckpointIsReusable(t *testing.T) {
 	prof := trace.Profiles()[0]
 	cfg := Config{Scheme: SchemeCoalescing, Instructions: 40_000, Warmup: 15_000}
-	ck, err := NewCheckpoint(cfg, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := newCheckpoint(cfg, prof)
 	a, err := ck.Resume(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,10 +73,7 @@ func TestCheckpointIsReusable(t *testing.T) {
 func TestCheckpointServesMeasureStageVariants(t *testing.T) {
 	prof := trace.Profiles()[0]
 	base := Config{Instructions: 40_000, Warmup: 15_000}
-	ck, err := NewCheckpoint(base, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := newCheckpoint(base, prof)
 	variants := []Config{
 		{Scheme: SchemePipeline, Instructions: 40_000, Warmup: 15_000, WPQEntries: 8},
 		{Scheme: SchemeO3, Instructions: 40_000, Warmup: 15_000, EpochSize: 64},
@@ -96,12 +94,12 @@ func TestCheckpointServesMeasureStageVariants(t *testing.T) {
 	}
 }
 
-// TestCheckpointFromStoreReplay: a checkpoint built over a trace.Store
-// replay resumes bit-identically to the generator path — the two
-// memoization layers compose. The replay is read in place while it is
-// inside its batch and filled from its tail generator past it, so the
-// store bounds cap the batch in the warm-up, in the measured region,
-// and not at all.
+// TestCheckpointFromStoreReplay: a checkpoint replays a store's built
+// recording bit-identically to an uninterrupted generator run, whether
+// the store's bound caps the recording in the warm-up, in the measured
+// region, or not at all: its reader reads the recording in place and
+// goes on past its end from the recording's tail generator. A run
+// reading the recording directly, with no checkpoint, matches too.
 func TestCheckpointFromStoreReplay(t *testing.T) {
 	prof := trace.Profiles()[0]
 	cfg := Config{Scheme: SchemeO3, Instructions: 40_000, Warmup: 15_000}
@@ -112,24 +110,35 @@ func TestCheckpointFromStoreReplay(t *testing.T) {
 		if maxOps > 0 {
 			store = trace.NewStore(512 + 16*maxOps)
 		}
-		batch := store.Get(prof, cfg.Instructions+cfg.Warmup)
-		ck, err := NewCheckpointSource(cfg, prof.Name, prof.Seed, prof.IPC, batch.Replay())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ck.Resume(cfg)
+		rec := store.Get(prof, cfg.Instructions+cfg.Warmup)
+		got, err := NewCheckpoint(cfg, prof, rec).Resume(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("store capped at %d ops (0 = default): store-replay checkpoint diverged from generator run", maxOps)
+			t.Fatalf("store capped at %d ops (0 = default): resumed checkpoint diverged from generator run", maxOps)
 		}
-		// And the replay itself (no checkpoint) matches too.
-		direct := RunSource(cfg, prof.Name, prof.IPC, batch.Replay())
-		if !reflect.DeepEqual(want, direct) {
-			t.Fatalf("store capped at %d ops (0 = default): store replay run diverged from generator run", maxOps)
+		if direct := RunSource(cfg, prof.Name, prof.IPC, rec.Reader(prof)); !reflect.DeepEqual(want, direct) {
+			t.Fatalf("store capped at %d ops (0 = default): a run reading the recording diverged from generator run", maxOps)
 		}
 	}
+}
+
+// TestCheckpointRefusesArenaRecording: a checkpoint cannot pin a
+// position in an arena's recording, whose pages move to the next
+// profile, so building one over it panics at once.
+func TestCheckpointRefusesArenaRecording(t *testing.T) {
+	prof := trace.Profiles()[0]
+	ar := NewArena()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewCheckpoint accepted an arena's recording")
+		}
+		if ar.rec.Ops() != 0 {
+			t.Errorf("NewCheckpoint warmed over an arena's recording (%d ops recorded) before refusing it", ar.rec.Ops())
+		}
+	}()
+	NewCheckpoint(Config{Instructions: 40_000, Warmup: 15_000}, prof, &ar.rec)
 }
 
 // TestCheckpointRejectsDivergedConfig: resuming with a config whose
@@ -138,10 +147,7 @@ func TestCheckpointFromStoreReplay(t *testing.T) {
 func TestCheckpointRejectsDivergedConfig(t *testing.T) {
 	prof := trace.Profiles()[0]
 	base := Config{Scheme: SchemeSP, Instructions: 40_000, Warmup: 15_000}
-	ck, err := NewCheckpoint(base, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := newCheckpoint(base, prof)
 	diverged := 0
 	for name, mutate := range configMutators(t) {
 		cfg := mutate(base)

@@ -132,10 +132,7 @@ func TestCheckpointKeyInvalidation(t *testing.T) {
 	prof := trace.Profiles()[0]
 	base := Config{Scheme: SchemeSP, Instructions: 40_000, Warmup: 15_000}
 	baseKey := CheckpointKeyFor(base, prof.Name, prof.Seed)
-	ck, err := NewCheckpoint(base, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := newCheckpoint(base, prof)
 	shared := 0
 	for name, mutate := range configMutators(t) {
 		cfg := mutate(base)

@@ -8,14 +8,13 @@ const opBatch = 1024
 // opStream feeds the op loops (runOps and warmCaches) their operation
 // stream a batch at a time through one view, cur: a loop walks the
 // view in place, so a run pays one source call per batch instead of a
-// call per op. A source that holds its ops in memory (a
-// trace.ViewSource: the arena's recording, a store replay) hands out
-// its own ops as the view, with no copy and no instruction count of
-// its own; a taken prefix is passed back to it. Every other source
-// (the generator, trace files, phased sources, wrappers) fills the
-// stream's buffer, through its own Fill or, without one, through
-// nextFill, one Next call per op; so does a view source past the ops
-// it holds.
+// call per op. A recording's reader (the arena's, or a checkpoint's
+// clone of a built recording's) hands out its own ops as the view,
+// with no copy and no instruction count of its own; a taken prefix is
+// passed back to it. Every other source (the generator, trace files,
+// phased sources, wrappers) fills the stream's buffer, through its own
+// Fill or, without one, through nextFill, one Next call per op; so
+// does a reader past the ops its recording holds.
 //
 // Batching is invisible to the timing model: consumed counts the
 // instructions of the ops handed out (each op spans Gap+1), and each
@@ -26,8 +25,8 @@ const opBatch = 1024
 // is the stream's position at the warm-up boundary (what a Checkpoint
 // keeps).
 type opStream struct {
-	view    trace.ViewSource  // the source, when it hands out its ops in place
-	fill    trace.BatchSource // the source's own Fill, or nextFill over it
+	view    *trace.RecordingReader // the source, when it is a recording's reader
+	fill    trace.BatchSource      // the source's own Fill, or nextFill over it
 	buf     []trace.Op
 	cur     []trace.Op // the current batch: the source's ops in place, or buf filled
 	pos     int        // ops of cur handed out
@@ -41,7 +40,7 @@ func newOpStream(src trace.Source, buf []trace.Op) *opStream {
 	if !ok {
 		fill = nextFill{src}
 	}
-	view, _ := src.(trace.ViewSource)
+	view, _ := src.(*trace.RecordingReader)
 	return &opStream{view: view, fill: fill, buf: buf, consumed: src.Progress()}
 }
 

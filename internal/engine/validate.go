@@ -20,6 +20,9 @@ func (c Config) Validate() error {
 	if spec == nil {
 		return fmt.Errorf("engine: unknown scheme %q (known: %v)", c.Scheme, Schemes())
 	}
+	if c.Warmup > math.MaxUint64-c.Instructions {
+		return fmt.Errorf("engine: Instructions + Warmup overflow, got %d + %d", c.Instructions, c.Warmup)
+	}
 	if err := bmt.CheckShape(c.BMTLevels, 8); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}

@@ -30,6 +30,7 @@ func TestValidateRejections(t *testing.T) {
 		want string
 	}{
 		{Config{Scheme: "bogus"}, `engine: unknown scheme "bogus" (known: [secure_WB unordered sp pipeline o3 coalescing sgxtree colocated triad_sel phoenix shadow supermem_wc])`},
+		{Config{Instructions: math.MaxUint64, Warmup: 1}, "engine: Instructions + Warmup overflow, got 18446744073709551615 + 1"},
 		{Config{BMTLevels: -1}, "engine: bmt: levels must be >= 1, got -1"},
 		{Config{WPQEntries: -4}, "engine: WPQEntries must be >= 1, got -4"},
 		{Config{PTTEntries: -1}, "engine: PTTEntries must be >= 1, got -1"},

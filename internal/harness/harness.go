@@ -47,11 +47,12 @@ type Options struct {
 	// callers share one Memo. Memoized results are bit-identical to
 	// cold runs. Nil (the default) runs everything cold.
 	Memo *Memo
-	// Traces is the store whose batches the memo's warm-up checkpoints
-	// replay; callers that share one share each (bench, seed,
-	// instructions) batch across their runners. Nil gives a runner with
-	// a Memo a store of its own. Runs without a checkpoint never read
-	// it: they read their arena's recording.
+	// Traces is the store of built recordings the memo's warm-up
+	// checkpoints are built over; each checkpoint keeps a reader of
+	// one. Callers that share a store share each (bench, seed,
+	// instructions) recording across their runners. Nil gives a runner
+	// with a Memo a store of its own. The store is read only when a
+	// checkpoint is built; every other run reads its arena's recording.
 	Traces *trace.Store
 	// Probe, when non-nil, observes the fan-out pool's occupancy
 	// (queue depth, running, completed) across the runner's sweeps.

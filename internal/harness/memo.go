@@ -76,7 +76,6 @@ type memoEntry struct {
 type ckptEntry struct {
 	once    sync.Once
 	ck      *engine.Checkpoint
-	err     error
 	bytes   uint64
 	lastUse uint64
 }
@@ -180,12 +179,12 @@ func (m *Memo) Run(key MemoKey, exec func() (engine.Result, *telemetry.Series, b
 	return e.res, e.series, true
 }
 
-// Checkpoint returns the warm-up checkpoint for (cfg, bench, seed),
-// building it at most once per key across concurrent callers. mkSrc
-// supplies the op source to warm from (the runner's trace.Store
-// replay).
-func (m *Memo) Checkpoint(cfg engine.Config, bench string, seed uint64, ipc float64, mkSrc func() trace.Source) (*engine.Checkpoint, error) {
-	key := engine.CheckpointKeyFor(cfg, bench, seed)
+// Checkpoint returns the warm-up checkpoint for (cfg, p), building it
+// at most once per key across concurrent callers. rec supplies the
+// built recording of p's stream to warm from (the runner's
+// trace.Store's); it is called only to build the checkpoint.
+func (m *Memo) Checkpoint(cfg engine.Config, p trace.Profile, rec func() *trace.Recording) *engine.Checkpoint {
+	key := engine.CheckpointKeyFor(cfg, p.Name, p.Seed)
 	m.mu.Lock()
 	e, ok := m.ckpts[key]
 	if ok {
@@ -199,20 +198,14 @@ func (m *Memo) Checkpoint(cfg engine.Config, bench string, seed uint64, ipc floa
 	e.lastUse = m.clock
 	m.mu.Unlock()
 	e.once.Do(func() {
-		e.ck, e.err = engine.NewCheckpointSource(cfg, bench, seed, ipc, mkSrc())
+		e.ck = engine.NewCheckpoint(cfg, p, rec())
 		m.mu.Lock()
-		if e.err != nil {
-			if m.ckpts[key] == e {
-				delete(m.ckpts, key)
-			}
-		} else {
-			e.bytes = e.ck.Bytes()
-			m.bytes += e.bytes
-			m.evictLocked(nil)
-		}
+		e.bytes = e.ck.Bytes()
+		m.bytes += e.bytes
+		m.evictLocked(nil)
 		m.mu.Unlock()
 	})
-	return e.ck, e.err
+	return e.ck
 }
 
 // evictLocked drops least-recently-used stored entries until bytes fit

@@ -73,7 +73,7 @@ func TestMemoizedSweepBitIdentical(t *testing.T) {
 	}
 	ts := store.Stats()
 	if ts.Misses != 2 {
-		t.Errorf("want 1 trace materialization per bench, got %d", ts.Misses)
+		t.Errorf("want 1 trace recording per bench, got %d", ts.Misses)
 	}
 	if st.HitRate() != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", st.HitRate())

@@ -80,26 +80,26 @@ func runPooled(cfg engine.Config, p trace.Profile) engine.Result {
 
 // cold executes one simulation without consulting the result memo. A
 // run with a warm-up, under a memo, resumes its benchmark's shared
-// warm-up checkpoint, built over a replay of the runner's trace store;
-// every other run reads its stream from an arena's recording. Both are
-// bit-identical to an uninterrupted run (equivalence-pinned).
+// warm-up checkpoint, built over the runner's trace store's recording
+// of the stream; every other run reads its stream from an arena's
+// recording. Both are bit-identical to an uninterrupted run
+// (equivalence-pinned).
 func (r *runner) cold(cfg engine.Config, p trace.Profile) engine.Result {
 	n := cfg.Normalized()
 	if r.o.Memo != nil && n.Warmup > 0 {
-		ck, err := r.o.Memo.Checkpoint(cfg, p.Name, p.Seed, p.IPC, func() trace.Source {
-			return r.o.Traces.Get(p, n.Instructions+n.Warmup).Replay()
+		ck := r.o.Memo.Checkpoint(cfg, p, func() *trace.Recording {
+			return r.o.Traces.Get(p, n.Instructions+n.Warmup)
 		})
+		ar := arenas.get(p)
+		cfg.Arena = ar
+		res, err := engineResume(ck, cfg)
+		arenas.put(ar)
 		if err == nil {
-			ar := arenas.get(p)
-			cfg.Arena = ar
-			res, err := engineResume(ck, cfg)
-			arenas.put(ar)
-			if err == nil {
-				return res
-			}
+			return res
 		}
-		// A checkpoint path failure (key drift) falls through to an
-		// uncheckpointed run rather than failing the sweep; the
+		// Resume refuses only a config whose warm-up projection differs
+		// from the checkpoint's (key drift); such a run falls back to an
+		// uncheckpointed run rather than failing the sweep. The
 		// checkpoint key tests keep this path unreachable for the
 		// runner's own configs.
 	}

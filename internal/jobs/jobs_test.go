@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	rtmetrics "runtime/metrics"
@@ -250,7 +251,7 @@ func TestMemoSweepReportsProgress(t *testing.T) {
 // read, and each job's distinct instruction count makes every point a
 // memo miss, as in a stream of fresh sweeps. After the first job the
 // live heap may grow by the jobs' stored results, a few KB a point,
-// but not by a trace batch per benchmark and job (about 30 MB over
+// but not by a recorded stream per benchmark and job (about 30 MB over
 // these jobs).
 func TestServiceMemoryFlatAcrossJobs(t *testing.T) {
 	s, w := newTestService(t, Config{Workers: 1, RunParallel: 1, Memo: harness.NewMemo(0)})
@@ -299,6 +300,7 @@ func TestSubmitInvalid(t *testing.T) {
 		{Kind: KindExperiment},
 		{Kind: KindExperiment, Experiment: "nonesuch"},
 		{Kind: KindSweep, TimeoutSec: -1},
+		{Kind: KindSweep, Instructions: math.MaxUint64, Warmup: 1},
 	}
 	for i, spec := range cases {
 		if _, err := s.Submit(spec); !errors.Is(err, ErrInvalidSpec) {

@@ -102,6 +102,9 @@ func (s Spec) Validate() error {
 	if s.TimeoutSec < 0 {
 		return invalidf("timeoutSec must be >= 0, got %d", s.TimeoutSec)
 	}
+	if err := (engine.Config{Instructions: s.Instructions, Warmup: s.Warmup}).Validate(); err != nil {
+		return invalidf("%v", err)
+	}
 	for _, b := range s.Benches {
 		if _, ok := trace.ProfileByName(b); !ok {
 			return invalidf("unknown benchmark %q", b)

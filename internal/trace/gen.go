@@ -228,12 +228,10 @@ func (g *Generator) Next() Op {
 // satisfying Source.
 func (g *Generator) Progress() uint64 { return g.Instructions }
 
-// CloneSource returns an independent deep copy of the generator at
-// its current position: both copies produce the identical remaining
-// op stream. It implements CloneableSource, which lets the engine
-// checkpoint a warm-up boundary and the batch store hand out
-// positioned replays.
-func (g *Generator) CloneSource() Source {
+// clone returns an independent deep copy of the generator at its
+// current position: both copies produce the identical remaining op
+// stream. A recording's readers continue past its end from one.
+func (g *Generator) clone() *Generator {
 	c := *g // history ring and samplers are values; the copy is deep
 	rng := *g.rng
 	c.rng = &rng
@@ -252,25 +250,6 @@ type BatchSource interface {
 	// Fill writes ops into buf while Progress() < limit, returning how
 	// many were produced (0 when the limit has been reached).
 	Fill(buf []Op, limit uint64) int
-}
-
-// ViewSource is an optional BatchSource extension for a source whose
-// upcoming ops already sit in memory (a Recording's pages, a store
-// Batch): instead of copying them into the caller's buffer it hands
-// them out in place, and counts no instructions until the caller says
-// how far it read. A reader walks the view under its own instruction
-// bound, as it walks a filled buffer, and then takes what it read.
-type ViewSource interface {
-	BatchSource
-	// View returns the source's next ops in place without consuming
-	// them: at least one while Progress() < limit, unless the source
-	// has no more ops in memory and goes on only through Fill. The ops
-	// may run past limit. The slice stays valid while the source is
-	// read.
-	View(limit uint64) []Op
-	// Take consumes the first k ops of the last View, which bring
-	// Progress() to instrs.
-	Take(k int, instrs uint64)
 }
 
 // within returns how many of ops a reader at instrs instructions reads

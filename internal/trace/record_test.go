@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -64,7 +65,7 @@ func TestRecordingMatchesGenerator(t *testing.T) {
 // walks each View in place and takes a prefix of it, at most take ops
 // under the limit, and fills a buffer once the source has no ops of
 // its own in memory.
-func readViews(src ViewSource, limit uint64, take int) []Op {
+func readViews(src *RecordingReader, limit uint64, take int) []Op {
 	var out []Op
 	buf := make([]Op, 1024)
 	consumed := src.Progress()
@@ -86,33 +87,127 @@ func readViews(src ViewSource, limit uint64, take int) []Op {
 	return out
 }
 
-// TestViewsMatchGenerator: reading a recording, a whole store batch
-// and capped ones through View and Take (and Fill past the ops they
-// hold) hands out exactly a fresh generator's ops under the limit, in
-// takes that end inside a view and that run to its end, and leaves
-// Progress at the generator's count.
+// TestViewsMatchGenerator: reading an arena's recording, a whole built
+// recording and capped ones through View and Take (and Fill past the
+// ops they hold) hands out exactly a fresh generator's ops under the
+// limit, in takes that end inside a view and that run to its end, and
+// leaves Progress at the generator's count.
 func TestViewsMatchGenerator(t *testing.T) {
 	gcc, _ := ProfileByName("gcc")
-	var rec Recording
+	var arena Recording
 	for _, run := range []struct {
 		limit uint64
 		take  int
 	}{{30_000, 1 << 30}, {400_000, 333}, {10_000, 5}, {420_000, 70_000}} {
 		g := NewGenerator(gcc)
 		want := readAll(g, run.limit, 1024)
-		r := rec.Reader(gcc)
+		r := arena.Reader(gcc)
 		if got := readViews(r, run.limit, run.take); !reflect.DeepEqual(got, want) || r.Progress() != g.Progress() {
-			t.Fatalf("recording to %d in takes of %d: %d ops at %d instructions, generator %d at %d",
+			t.Fatalf("arena recording to %d in takes of %d: %d ops at %d instructions, generator %d at %d",
 				run.limit, run.take, len(got), r.Progress(), len(want), g.Progress())
 		}
 		for _, maxOps := range []int{len(want), len(want) / 2, 1} {
-			b := materialize(gcc, run.limit, maxOps)
-			r := b.Replay()
+			rec := build(gcc, run.limit, maxOps)
+			r := rec.Reader(gcc)
 			if got := readViews(r, run.limit, run.take); !reflect.DeepEqual(got, want) || r.Progress() != g.Progress() {
-				t.Fatalf("batch of %d ops to %d in takes of %d: %d ops at %d instructions, generator %d at %d",
-					len(b.ops), run.limit, run.take, len(got), r.Progress(), len(want), g.Progress())
+				t.Fatalf("built recording of %d ops to %d in takes of %d: %d ops at %d instructions, generator %d at %d",
+					rec.Ops(), run.limit, run.take, len(got), r.Progress(), len(want), g.Progress())
 			}
 		}
+	}
+}
+
+// instrsOf returns the instructions ops represent.
+func instrsOf(ops []Op) uint64 {
+	var n uint64
+	for _, op := range ops {
+		n += uint64(op.Gap) + 1
+	}
+	return n
+}
+
+// TestBuiltRecordingShared: a built recording never changes, so any
+// number of goroutines share it. Eight read one store recording, under
+// a bound that ends mid-page, each through its own reader from op 0
+// past the recording's end into the tail, and through clones taken
+// mid-page, on a page boundary and past the end; every stream equals a
+// fresh generator's, op for op and in Progress. Run it under -race.
+func TestBuiltRecordingShared(t *testing.T) {
+	gcc, _ := ProfileByName("gcc")
+	const instr, limit = 300_000, 450_000
+	maxOps := pageOps + pageOps/2
+	rec := NewStore(recordingOverhead+uint64(maxOps)*opBytes).Get(gcc, instr)
+	g := NewGenerator(gcc)
+	want := readAll(g, limit, 1024)
+	if rec.Ops() != maxOps || len(want) <= maxOps+8 {
+		t.Fatalf("recording holds %d ops of %d read, want the bound's %d to cut it short", rec.Ops(), len(want), maxOps)
+	}
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rec.Reader(gcc)
+			var got []Op
+			buf := make([]Op, 1000+w)
+			type clone struct {
+				r  *RecordingReader
+				at int // ops read before it
+			}
+			var clones []clone
+			for _, cut := range []int{pageOps/2 + w, pageOps, maxOps + 1 + w, len(want)} {
+				for len(got) < cut {
+					n := r.Fill(buf[:min(len(buf), cut-len(got))], limit)
+					if n == 0 {
+						break
+					}
+					got = append(got, buf[:n]...)
+				}
+				if r.Progress() != instrsOf(got) {
+					t.Errorf("reader %d at op %d: progress %d, want %d", w, len(got), r.Progress(), instrsOf(got))
+					return
+				}
+				if cut < len(want) {
+					clones = append(clones, clone{r.Clone(), len(got)})
+				}
+			}
+			if !reflect.DeepEqual(got, want) || r.Progress() != g.Progress() {
+				t.Errorf("reader %d: %d ops at %d instructions, generator %d at %d", w, len(got), r.Progress(), len(want), g.Progress())
+				return
+			}
+			for _, c := range clones {
+				rest := readAll(c.r, limit, 193)
+				if !reflect.DeepEqual(rest, want[c.at:]) || c.r.Progress() != g.Progress() {
+					t.Errorf("reader %d: a clone taken at op %d read %d ops to %d instructions, generator %d to %d",
+						w, c.at, len(rest), c.r.Progress(), len(want)-c.at, g.Progress())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRecordingRefusesMisuse: what would let one reader see another's
+// stream panics. A reader of an arena's recording cannot be cloned,
+// because its pages move to the next profile; a built recording
+// serves only the profile it holds.
+func TestRecordingRefusesMisuse(t *testing.T) {
+	gcc, _ := ProfileByName("gcc")
+	milc, _ := ProfileByName("milc")
+	var arena Recording
+	built := NewStore(0).Get(gcc, 10_000)
+	for name, misuse := range map[string]func(){
+		"Clone of an arena recording's reader":           func() { arena.Reader(gcc).Clone() },
+		"Reader of another profile on a built recording": func() { built.Reader(milc) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			misuse()
+		}()
 	}
 }
 

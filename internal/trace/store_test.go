@@ -6,43 +6,46 @@ import (
 	"testing"
 )
 
-// TestReplayMatchesGenerator pins the memoization foundation: a
-// batch replay produces the bit-identical op stream to a fresh
-// generator — including past the materialized end, where the replay
-// falls through to a cloned tail generator.
+// TestReplayMatchesGenerator pins the memoization foundation: a reader
+// of a built recording produces the bit-identical op stream to a fresh
+// generator — including past the recorded end, where the reader falls
+// through to a clone of the recording's tail generator.
 func TestReplayMatchesGenerator(t *testing.T) {
 	p := Profiles()[0]
 	const budget = 50_000
-	b := NewStore(0).Get(p, budget)
-	if len(b.ops) == 0 {
-		t.Fatal("empty batch")
+	rec := NewStore(0).Get(p, budget)
+	if rec.Ops() == 0 {
+		t.Fatal("empty recording")
 	}
 
 	g := NewGenerator(p)
-	r := b.Replay()
-	// Read well past the materialized budget to exercise the tail.
+	r := rec.Reader(p)
+	// Read well past the recorded budget to exercise the tail.
 	for i := 0; r.Progress() < 3*budget; i++ {
 		want, got := g.Next(), r.Next()
 		if want != got {
-			t.Fatalf("op %d diverged: generator %+v, replay %+v", i, want, got)
+			t.Fatalf("op %d diverged: generator %+v, reader %+v", i, want, got)
 		}
 		if g.Progress() != r.Progress() {
 			t.Fatalf("op %d: progress %d vs %d", i, g.Progress(), r.Progress())
 		}
 	}
+	if r.tail == nil {
+		t.Fatal("the reader never reached the recording's tail")
+	}
 }
 
 // TestReplayFillMatchesGeneratorFill: the BatchSource fill path stops
 // at the same limit and yields the same ops as Generator.Fill, across
-// the batch end, for a batch materialized to its budget and for one
+// the recording's end, for a recording built to its budget and for one
 // capped at 700 ops. At least one fill must straddle the end.
 func TestReplayFillMatchesGeneratorFill(t *testing.T) {
 	p := Profiles()[1%len(Profiles())]
 	const budget = 20_000
-	for _, b := range []*Batch{NewStore(0).Get(p, budget), materialize(p, budget, 700)} {
+	for _, rec := range []*Recording{NewStore(0).Get(p, budget), build(p, budget, 700)} {
 		g := NewGenerator(p)
-		r := b.Replay()
-		// Limit beyond the materialized region to cross the boundary
+		r := rec.Reader(p)
+		// Limit beyond the recorded region to cross the boundary
 		// mid-fill.
 		const limit = 2 * budget
 		gbuf, rbuf := make([]Op, 193), make([]Op, 193)
@@ -52,59 +55,38 @@ func TestReplayFillMatchesGeneratorFill(t *testing.T) {
 			gn := g.Fill(gbuf, limit)
 			rn := r.Fill(rbuf, limit)
 			if gn != rn {
-				t.Fatalf("%d-op batch: fill counts diverged: %d vs %d", len(b.ops), gn, rn)
+				t.Fatalf("%d-op recording: fill counts diverged: %d vs %d", rec.Ops(), gn, rn)
 			}
 			if gn == 0 {
 				break
 			}
 			if !reflect.DeepEqual(gbuf[:gn], rbuf[:rn]) {
-				t.Fatalf("%d-op batch: fill contents diverged", len(b.ops))
+				t.Fatalf("%d-op recording: fill contents diverged", rec.Ops())
 			}
-			if fromBatch := r.pos - before; fromBatch > 0 && rn > fromBatch {
+			if fromRecording := r.pos - before; fromRecording > 0 && rn > fromRecording {
 				straddled = true
 			}
 		}
 		if g.Progress() != r.Progress() {
-			t.Fatalf("%d-op batch: final progress %d vs %d", len(b.ops), g.Progress(), r.Progress())
+			t.Fatalf("%d-op recording: final progress %d vs %d", rec.Ops(), g.Progress(), r.Progress())
 		}
 		if !straddled {
-			t.Fatalf("%d-op batch: no fill crossed the batch end", len(b.ops))
+			t.Fatalf("%d-op recording: no fill crossed the recording's end", rec.Ops())
 		}
 	}
 }
 
-// TestReplayCloneMidStream: a clone taken mid-replay (before or after
-// the tail handoff) continues identically to its original.
-func TestReplayCloneMidStream(t *testing.T) {
-	p := Profiles()[0]
-	const budget = 10_000
-	b := NewStore(0).Get(p, budget)
-	for _, warm := range []uint64{budget / 2, 2 * budget} { // inside batch; inside tail
-		r := b.Replay()
-		for r.Progress() < warm {
-			r.Next()
-		}
-		c := r.CloneSource()
-		for i := 0; i < 5_000; i++ {
-			want, got := r.Next(), c.Next()
-			if want != got {
-				t.Fatalf("warm=%d op %d diverged: %+v vs %+v", warm, i, want, got)
-			}
-		}
-	}
-}
-
-// TestGeneratorCloneSource: a cloned generator is fully independent of
-// the original.
-func TestGeneratorCloneSource(t *testing.T) {
+// TestGeneratorClone: a cloned generator is fully independent of the
+// original.
+func TestGeneratorClone(t *testing.T) {
 	p := Profiles()[0]
 	g := NewGenerator(p)
 	for i := 0; i < 1000; i++ {
 		g.Next()
 	}
-	c := g.CloneSource()
+	c := g.clone()
 	// Advance the original far ahead; the clone must be unaffected.
-	ref := g.CloneSource()
+	ref := g.clone()
 	for i := 0; i < 10_000; i++ {
 		g.Next()
 	}
@@ -115,13 +97,13 @@ func TestGeneratorCloneSource(t *testing.T) {
 	}
 }
 
-// TestStoreSingleflight: concurrent Gets of one key materialize once
-// and share the identical batch.
+// TestStoreSingleflight: concurrent Gets of one key record once and
+// share the identical recording.
 func TestStoreSingleflight(t *testing.T) {
 	s := NewStore(0)
 	p := Profiles()[0]
 	const workers = 16
-	got := make([]*Batch, workers)
+	got := make([]*Recording, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -133,7 +115,7 @@ func TestStoreSingleflight(t *testing.T) {
 	wg.Wait()
 	for i := 1; i < workers; i++ {
 		if got[i] != got[0] {
-			t.Fatal("workers received distinct batches for one key")
+			t.Fatal("workers received distinct recordings for one key")
 		}
 	}
 	st := s.Stats()
@@ -146,14 +128,14 @@ func TestStoreSingleflight(t *testing.T) {
 }
 
 // TestStoreEviction: the byte bound evicts least-recently-used
-// entries; evicted batches remain usable by holders.
+// entries; evicted recordings remain usable by holders.
 func TestStoreEviction(t *testing.T) {
 	p := Profiles()[0]
-	one := NewStore(0).Get(p, 5_000).Bytes()
+	one := NewStore(0).Get(p, 5_000).bytes()
 	s := NewStore(2*one + one/2) // room for ~2 entries
-	b0 := s.Get(p, 5_000)
+	r0 := s.Get(p, 5_000)
 	s.Get(p, 5_001)
-	s.Get(p, 5_000) // refresh b0 so 5_001 is the LRU victim
+	s.Get(p, 5_000) // refresh r0 so 5_001 is the LRU victim
 	s.Get(p, 5_002) // overflows: evicts 5_001
 	st := s.Stats()
 	if st.Evictions == 0 {
@@ -163,48 +145,59 @@ func TestStoreEviction(t *testing.T) {
 		t.Fatalf("bytes %d exceed bound", st.Bytes)
 	}
 	// The refreshed entry survived; re-Get is a hit returning the same
-	// batch.
+	// recording.
 	pre := s.Stats().Hits
-	if s.Get(p, 5_000) != b0 {
-		t.Fatal("refreshed entry was evicted or re-materialized")
+	if s.Get(p, 5_000) != r0 {
+		t.Fatal("refreshed entry was evicted or re-recorded")
 	}
 	if s.Stats().Hits != pre+1 {
 		t.Fatal("expected a hit on the surviving entry")
 	}
-	// The evicted batch's replays still work.
-	r := b0.Replay()
+	// The evicted recording's readers still work.
+	r := r0.Reader(p)
 	for i := 0; i < 100; i++ {
 		r.Next()
 	}
 }
 
 // TestOpSize pins the packed op layout: with Block first an op is 16
-// bytes, which sizes the engine's op buffer and every stored batch.
+// bytes, which sizes the engine's op buffer and every recording.
 func TestOpSize(t *testing.T) {
 	if opBytes != 16 {
 		t.Fatalf("trace.Op is %d bytes, want 16", opBytes)
 	}
 }
 
-// TestStoreBatchWithinBound: a batch holds at most its store's bound of
-// ops, so even the entry just built keeps the store within its bound.
-// The replay of the capped batch still equals a fresh generator op for
-// op, and in Progress, up to the run length: past the batch it goes on
-// from the batch's tail generator.
+// TestStoreBatchWithinBound: a recording holds at most its store's
+// bound of ops, so even the entry just built keeps the store within
+// its bound, whether the bound ends on a page boundary or mid-page. A
+// reader of the capped recording still equals a fresh generator op for
+// op, and in Progress, up to the run length: past the recording it goes
+// on from the recording's tail generator. A recording the bound does
+// not cap takes no more than its ops' bytes and a little overhead: its
+// last page is no longer than what it holds.
 func TestStoreBatchWithinBound(t *testing.T) {
 	p, _ := ProfileByName("gcc")
-	const bound, instr = 4 << 20, 2_000_000
-	s := NewStore(bound)
-	b := s.Get(p, instr)
-	if got := s.Stats().Bytes; got > bound {
-		t.Fatalf("a %d-instruction batch left the store at %d bytes, bound %d", instr, got, bound)
-	}
-	g, r := NewGenerator(p), b.Replay()
-	for i := 0; r.Progress() < instr; i++ {
-		want, got := g.Next(), r.Next()
-		if want != got || g.Progress() != r.Progress() {
-			t.Fatalf("op %d (batch holds %d): replay %+v at %d, generator %+v at %d",
-				i, len(b.ops), got, r.Progress(), want, g.Progress())
+	const instr = 2_000_000
+	// The first bound ends on a page boundary, the second half way
+	// through a page.
+	for _, bound := range []uint64{recordingOverhead + 4<<20, 5<<20 + 512<<10} {
+		s := NewStore(bound)
+		rec := s.Get(p, instr)
+		if got := s.Stats().Bytes; got > bound {
+			t.Fatalf("a %d-instruction recording left the store at %d bytes, bound %d", instr, got, bound)
 		}
+		g, r := NewGenerator(p), rec.Reader(p)
+		for i := 0; r.Progress() < instr; i++ {
+			want, got := g.Next(), r.Next()
+			if want != got || g.Progress() != r.Progress() {
+				t.Fatalf("bound %d, op %d (recording holds %d): reader %+v at %d, generator %+v at %d",
+					bound, i, rec.Ops(), got, r.Progress(), want, g.Progress())
+			}
+		}
+	}
+	rec := NewStore(0).Get(p, 1_500_000)
+	if got, want := rec.bytes(), uint64(rec.Ops())*opBytes+4<<10; got > want {
+		t.Fatalf("a %d-op recording takes %d bytes, over 16 B per op plus 4 KB (%d)", rec.Ops(), got, want)
 	}
 }
